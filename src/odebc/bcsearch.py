@@ -133,11 +133,6 @@ def search_optimal_bc(cands: CandidateSet, refs: ReferenceSet,
     return result_from_table(cands, table)
 
 
-def sample_with_bc(bc, y, solver: SolverConfig, model) -> np.ndarray:
-    """The production call: one deterministic projection of the shared BC."""
-    return project(model, solver, bc, y)
-
-
 @dataclass(frozen=True, eq=False)
 class GainReport:
     searched_mean: float

@@ -147,11 +147,22 @@ def resolve_config(path=None, sets=(), workers=None, seed=None,
     if out is not None:
         config["run"]["out"] = out
     if config["run"]["workers"] is None:
-        config["run"]["workers"] = int(os.environ.get("ODEBC_WORKERS", "1"))
-    config["run"]["workers"] = int(config["run"]["workers"])
-    if config["run"]["workers"] < 1:
-        raise ValidationError("run.workers must be >= 1")
+        config["run"]["workers"] = _worker_count(
+            os.environ.get("ODEBC_WORKERS", "1"), "ODEBC_WORKERS")
+    config["run"]["workers"] = _worker_count(config["run"]["workers"], "run.workers")
     return config
+
+
+def _worker_count(value, source: str) -> int:
+    """An integer >= 1; strings (the environment) must spell one."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{source} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def build_world(config: dict) -> GmmWorld:

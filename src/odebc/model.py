@@ -1,29 +1,29 @@
 """Analytic Gaussian-mixture world and its exact noise-prediction models.
 
 The world is a mixture of isotropic Gaussians over flat or image-shaped
-tensors, observed through block-average pooling plus Gaussian noise. Both
-the prior and the conditional posterior stay Gaussian mixtures in closed
-form, so the exact score (and hence an exact eps-prediction "denoiser") is
-available at every noise level. Everything here is pure and immutable after
-construction, which is what lets projections run on any number of workers.
+tensors, observed through block-average pooling D plus Gaussian noise. The
+rows of D are orthogonal (D D^T = I / b^2), so P = b^2 D^T D projects onto
+range(D^T) and every covariance in the model, prior or posterior, has the
+form lam_perp (I - P) + lam_par P. A mixture therefore carries two
+variances per component instead of a d x d matrix, and P x is "block-sum,
+scale, copy back": a posterior costs O(J d) to build and eps O(J n d) for n
+rows. Both the prior and the conditional posterior stay Gaussian mixtures
+in closed form, so the exact score (and hence an exact eps-prediction
+"denoiser") is available at every noise level. Everything here is pure and
+immutable after construction (mixtures only cache values derived from
+their fields), which is what lets projections run on any number of workers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
-from .errors import NonConvergenceError, ShapeMismatchError, ValidationError
-from .rng import generator
+from .errors import ShapeMismatchError, ValidationError
 from .schedule import DiscreteSchedule
-
-# Exponent floor: exp(-745) is the smallest positive normal-ish double.
-_LOG_FLOOR = -745.0
 
 
 class _Blank:
@@ -43,24 +43,64 @@ class _Blank:
 BLANK = _Blank()
 
 
-def block_pool_matrix(height: int, width: int, channels: int, block: int) -> np.ndarray:
-    """Block-average pooling as a dense (m, d) matrix, row-major layout."""
-    if height % block or width % block:
-        raise ValidationError("block must divide both spatial axes")
-    d = height * width * channels
-    lh, lw = height // block, width // block
-    m = lh * lw * channels
-    op = np.zeros((m, d))
-    inv = 1.0 / (block * block)
-    for bi in range(lh):
-        for bj in range(lw):
-            for ch in range(channels):
-                row = (bi * lw + bj) * channels + ch
-                for di in range(block):
-                    for dj in range(block):
-                        col = ((bi * block + di) * width + (bj * block + dj)) * channels + ch
-                        op[row, col] = inv
-    return op
+@dataclass(frozen=True)
+class BlockPooling:
+    """b x b block sums S over row-major (height, width, channels) tensors.
+
+    Block-average pooling is D = S / b^2 and P = S^T S / b^2. A flat world
+    of dimension d is the shape (1, d, 1) with block 1, where S = P = I.
+    For b > 1, S works one band of b pixel rows at a time through `_row`,
+    the (width * channels, width / b * channels) 0/1 matrix that sums one
+    pixel row into its row of blocks.
+    """
+
+    shape: tuple[int, int, int]
+    block: int
+    _row: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        h, w, c = self.shape
+        b = self.block
+        if b < 1 or h % b or w % b:
+            raise ValidationError("block must divide both spatial axes")
+        row = None
+        if b > 1:
+            pixel = np.arange(w * c)
+            row = np.zeros((w * c, w // b * c))
+            row[pixel, pixel // (b * c) * c + pixel % c] = 1.0
+        object.__setattr__(self, "_row", row)
+
+    @property
+    def size(self) -> int:
+        """Pixels per block, b^2."""
+        return self.block * self.block
+
+    @property
+    def dim(self) -> int:
+        h, w, c = self.shape
+        return h * w * c
+
+    @property
+    def obs_dim(self) -> int:
+        return self.dim // self.size
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """S x over the last axis: (..., dim) -> (..., obs_dim)."""
+        if self.block == 1:
+            return x
+        _, w, c = self.shape
+        bands = x.reshape(-1, self.block, w * c).sum(axis=1)
+        return (bands @ self._row).reshape(x.shape[:-1] + (-1,))
+
+    def spread_add(self, base: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """base + S^T v, each block value of v added to all its pixels; base
+        (..., dim) and v (..., obs_dim) share their leading axes."""
+        if self.block == 1:
+            return base + v
+        _, w, c = self.shape
+        rows = v.reshape(-1, w // self.block * c) @ self._row.T
+        out = base.reshape(-1, self.block, w * c) + rows[:, None, :]
+        return out.reshape(base.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +117,7 @@ class GmmWorld:
     tau: float
     block: int = 1
     shape: tuple[int, int, int] | None = None
-    degradation: np.ndarray = field(init=False, repr=False)
+    pooling: BlockPooling = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -93,15 +133,15 @@ class GmmWorld:
             h, wd, c = self.shape
             if h * wd * c != mu.shape[1]:
                 raise ShapeMismatchError("shape product != mean dimension")
-            op = block_pool_matrix(h, wd, c, self.block)
+            pooling = BlockPooling(tuple(self.shape), self.block)
         else:
             if self.block != 1:
                 raise ValidationError("flat worlds require block=1")
-            op = np.eye(mu.shape[1])
+            pooling = BlockPooling((1, mu.shape[1], 1), 1)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stds", s)
-        object.__setattr__(self, "degradation", op)
+        object.__setattr__(self, "pooling", pooling)
 
     @property
     def n_components(self) -> int:
@@ -113,24 +153,39 @@ class GmmWorld:
 
     @property
     def obs_dim(self) -> int:
-        return self.degradation.shape[0]
+        return self.pooling.obs_dim
 
     def degrade(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.degradation.T
+        """Block means D x over the last axis."""
+        return self.pooling.sums(np.asarray(x, dtype=np.float64)) / self.pooling.size
 
 
 @dataclass(frozen=True, eq=False)
 class Mixture:
-    """Gaussian mixture with per-component eigendecomposed covariances.
+    """Gaussian mixture with covariances lam_perp[j] (I - P) + lam_par[j] P.
 
-    eigvecs is None for diagonal-in-the-standard-basis covariances (the
-    prior); otherwise eigvecs[j] columns are the eigenvectors of C_j.
+    P is the projector of `pooling`; for flat worlds P = I and lam_perp
+    plays no part. The prior is the case lam_perp == lam_par.
     """
 
     log_w: np.ndarray
     means: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray | None = None
+    lam_perp: np.ndarray
+    lam_par: np.ndarray
+    pooling: BlockPooling
+    # Derived for the score: each mean next to its block sums, [m_j, S m_j];
+    # the sizes (d, k) of the two parts of such an augmented vector; and the
+    # per-(alpha, sigma) coefficients of every time visited so far.
+    _aug_means: np.ndarray = field(init=False, repr=False)
+    _parts: tuple[int, int] = field(init=False, repr=False)
+    _by_time: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pool = self.pooling
+        object.__setattr__(self, "_aug_means",
+                           np.concatenate([self.means, pool.sums(self.means)], axis=1))
+        object.__setattr__(self, "_parts", (pool.dim, pool.obs_dim))
+        object.__setattr__(self, "_by_time", {})
 
     @property
     def dim(self) -> int:
@@ -141,8 +196,9 @@ class Mixture:
         return Mixture(
             log_w=self.log_w,
             means=alpha * self.means,
-            eigvals=alpha * alpha * self.eigvals + sigma * sigma,
-            eigvecs=self.eigvecs,
+            lam_perp=alpha * alpha * self.lam_perp + sigma * sigma,
+            lam_par=alpha * alpha * self.lam_par + sigma * sigma,
+            pooling=self.pooling,
         )
 
 
@@ -155,106 +211,119 @@ def _as_batch(x: np.ndarray, dim: int):
     raise ShapeMismatchError(f"expected shape ({dim},) or (n, {dim}), got {x.shape}")
 
 
-def _component_logpdfs(mix: Mixture, x: np.ndarray):
-    """Per-component log N(x; m_j, C_j) plus the eigenbasis residuals."""
-    dim = mix.means.shape[1]
-    diff = x[None, :, :] - mix.means[:, None, :]
-    coords = diff if mix.eigvecs is None else diff @ mix.eigvecs
-    quad = np.einsum("jbd,jd->jb", coords**2, 1.0 / mix.eigvals)
-    logdet = np.sum(np.log(mix.eigvals), axis=1)
-    logpdf = -0.5 * (dim * np.log(2 * np.pi) + logdet[:, None] + quad)
-    return logpdf, coords
-
-
 def _logsumexp0(joint: np.ndarray) -> np.ndarray:
     """log-sum-exp over axis 0; the max term keeps the log argument >= 1."""
     peak = joint.max(axis=0)
     return peak + np.log(np.exp(joint - peak).sum(axis=0))
 
 
-def mixture_log_density(mix: Mixture, x: np.ndarray):
+def _coefficients(mix: Mixture, alpha: float, sigma: float):
+    """((1/A_j, gap_j) as (J, 2), log w_j - log|C_j|/2 as (J, 1)) at one time.
+
+    A_j, C_j are the diffused (perp, par) variances, with eigenspaces of
+    dimension d - k and k, and gap_j = (1/C_j - 1/A_j) / b^2. Cached on the
+    mixture: solvers revisit the same few times.
+    """
+    key = (alpha, sigma)
+    coefs = mix._by_time.get(key)
+    if coefs is None:
+        d, k = mix._parts
+        perp = alpha * alpha * mix.lam_perp + sigma * sigma
+        par = alpha * alpha * mix.lam_par + sigma * sigma
+        gap = (1.0 / par - 1.0 / perp) / mix.pooling.size
+        base = mix.log_w - 0.5 * ((d - k) * np.log(perp) + k * np.log(par))
+        coefs = mix._by_time[key] = (np.stack([1.0 / perp, gap], axis=1), base[:, None])
+    return coefs
+
+
+def _terms(mix: Mixture, x: np.ndarray, alpha: float, sigma: float):
+    """Per-component pieces of the (alpha, sigma)-diffused mixture at rows x.
+
+    With v_j = x - alpha m_j, |P v|^2 = |S v|^2 / b^2 gives the quadratic
+    form |v|^2 / A + gap |S v|^2. Both parts are computed at once on the
+    augmented difference [v_j, S v_j]. Returns (joint, that difference
+    scaled by (1/A, gap)); joint[j] is log w_j + log N_j(x) without the
+    -d/2 log(2 pi) that all components share.
+    """
+    scales, base = _coefficients(mix, alpha, sigma)
+    augmented = np.concatenate([x, mix.pooling.sums(x)], axis=1)
+    diff = augmented - alpha * mix._aug_means[:, None, :]
+    scaled = diff * np.repeat(scales, mix._parts, axis=1)[:, None, :]
+    joint = base - 0.5 * np.einsum("jnd,jnd->jn", scaled, diff)
+    return joint, scaled
+
+
+def _pull(mix: Mixture, x: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
+    """Minus the score of the diffused mixture: sum_j r_j C_j^-1 v_j.
+
+    C_j^-1 v = v / A + S^T (gap S v); r_j are the responsibilities.
+    """
+    joint, scaled = _terms(mix, x, alpha, sigma)
+    resp = np.exp(joint - joint.max(axis=0))
+    resp /= resp.sum(axis=0)
+    pulled = np.einsum("jn,jnd->nd", resp, scaled)
+    d = mix.dim
+    return mix.pooling.spread_add(pulled[:, :d], pulled[:, d:])
+
+
+def mixture_log_density(mix: Mixture, x):
     xb, single = _as_batch(x, mix.dim)
-    logpdf, _ = _component_logpdfs(mix, xb)
-    out = _logsumexp0(mix.log_w[:, None] + logpdf)
+    joint = _terms(mix, xb, 1.0, 0.0)[0]
+    out = _logsumexp0(joint) - 0.5 * mix.dim * math.log(2 * math.pi)
     return float(out[0]) if single else out
 
 
-def mixture_score(mix: Mixture, x: np.ndarray):
-    """Gradient of log density; log-sum-exp responsibilities, floored."""
+def mixture_score(mix: Mixture, x):
+    """Gradient of log density, sum_j r_j C_j^-1 (m_j - x)."""
     xb, single = _as_batch(x, mix.dim)
-    logpdf, coords = _component_logpdfs(mix, xb)
-    joint = mix.log_w[:, None] + logpdf
-    resp = np.exp(np.maximum(joint - _logsumexp0(joint), _LOG_FLOOR))
-    scaled = coords / mix.eigvals[:, None, :]
-    if mix.eigvecs is not None:
-        scaled = scaled @ mix.eigvecs.transpose(0, 2, 1)
-    out = -np.einsum("jb,jbd->bd", resp, scaled)
+    out = -_pull(mix, xb, 1.0, 0.0)
     return out[0] if single else out
 
 
 def mixture_sample(mix: Mixture, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Exact draws: component by weight, then Gaussian in the eigenbasis."""
+    """Exact draws: component by weight, then m + sd_perp g + (sd_par - sd_perp) P g."""
     comps = rng.choice(mix.log_w.size, size=n, p=np.exp(mix.log_w))
     gauss = rng.standard_normal((n, mix.dim))
-    out = np.empty((n, mix.dim))
-    for j in range(mix.log_w.size):
-        mask = comps == j
-        z = gauss[mask] * np.sqrt(mix.eigvals[j])
-        if mix.eigvecs is not None:
-            z = z @ mix.eigvecs[j].T
-        out[mask] = mix.means[j] + z
-    return out
+    sd_perp = np.sqrt(mix.lam_perp)[comps, None]
+    sd_par = np.sqrt(mix.lam_par)[comps, None]
+    pool = mix.pooling
+    return pool.spread_add(mix.means[comps] + sd_perp * gauss,
+                           (sd_par - sd_perp) * pool.sums(gauss) / pool.size)
 
 
 def prior_mixture(world: GmmWorld) -> Mixture:
-    return Mixture(
-        log_w=np.log(world.weights),
-        means=world.means,
-        eigvals=np.broadcast_to(
-            world.stds[:, None] ** 2, world.means.shape
-        ).copy(),
-        eigvecs=None,
-    )
+    s2 = world.stds**2
+    return Mixture(log_w=np.log(world.weights), means=world.means,
+                   lam_perp=s2, lam_par=s2, pooling=world.pooling)
 
 
 def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
     """Exact posterior mixture over x_0 given the degraded observation y.
 
-    Linear-Gaussian conjugacy per component:
-      m_j = mu_j + s^2 D^T (s^2 D D^T + tau^2 I)^-1 (y - D mu_j)
-      C_j = s^2 I - s^4 D^T (s^2 D D^T + tau^2 I)^-1 D
-    and component weights reweighted by the evidence N(y; D mu_j, G_j).
+    Linear-Gaussian conjugacy per component, with n = b^2 pixels per block:
+    the evidence covariance s_j^2 D D^T + tau^2 I is g_j I with
+    g_j = s_j^2 / n + tau^2, so
+      m_j = mu_j + s_j^2 / (n g_j) S^T (y - D mu_j),
+      C_j = s_j^2 (I - P) + s_j^2 tau^2 / g_j P,
+    and component weights are reweighted by the evidence N(y; D mu_j, g_j I).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (world.obs_dim,):
         raise ShapeMismatchError(
             f"y must have shape ({world.obs_dim},), got {y.shape}"
         )
-    op = world.degradation
-    m_obs = world.obs_dim
-    n_comp, dim = world.means.shape
-    means = np.empty((n_comp, dim))
-    eigvals = np.empty((n_comp, dim))
-    eigvecs = np.empty((n_comp, dim, dim))
-    log_ev = np.empty(n_comp)
-    gram = op @ op.T
-    for j in range(n_comp):
-        s2 = world.stds[j] ** 2
-        g = s2 * gram + world.tau**2 * np.eye(m_obs)
-        factor = cho_factor(g)
-        resid = y - op @ world.means[j]
-        means[j] = world.means[j] + s2 * (op.T @ cho_solve(factor, resid))
-        cov = s2 * np.eye(dim) - s2 * s2 * (op.T @ cho_solve(factor, op))
-        vals, vecs = np.linalg.eigh(cov)
-        eigvals[j] = np.maximum(vals, 1e-300)
-        eigvecs[j] = vecs
-        _, logdet = np.linalg.slogdet(g)
-        log_ev[j] = -0.5 * (
-            m_obs * np.log(2 * np.pi) + logdet + resid @ cho_solve(factor, resid)
-        )
-    log_w = np.log(world.weights) + log_ev
-    log_w = log_w - logsumexp(log_w)
-    return Mixture(log_w=log_w, means=means, eigvals=eigvals, eigvecs=eigvecs)
+    pool = world.pooling
+    n = pool.size
+    s2 = world.stds**2
+    g = s2 / n + world.tau**2
+    resid = y - pool.sums(world.means) / n
+    means = pool.spread_add(world.means, resid * (s2 / (n * g))[:, None])
+    # The evidence's -k/2 log(2 pi) is shared by all components and cancels.
+    log_w = np.log(world.weights) - 0.5 * (
+        pool.obs_dim * np.log(g) + np.einsum("jk,jk->j", resid, resid) / g)
+    log_w = log_w - _logsumexp0(log_w)
+    return Mixture(log_w=log_w, means=means, lam_perp=s2,
+                   lam_par=s2 * world.tau**2 / g, pooling=pool)
 
 
 @lru_cache(maxsize=100_000)
@@ -267,7 +336,9 @@ def _eps_from_mixture(mix: Mixture, x, t, s: DiscreteSchedule):
     if not 0.0 <= t <= 1.0:
         raise ValidationError("t must lie in [0, 1]")
     alpha, sigma = _alpha_sigma(s, t)
-    return -sigma * mixture_score(mix.diffused(alpha, sigma), x)
+    xb, single = _as_batch(x, mix.dim)
+    out = sigma * _pull(mix, xb, alpha, sigma)
+    return out[0] if single else out
 
 
 def eps_conditional(world: GmmWorld, x_t, y, t, s: DiscreteSchedule):
@@ -278,39 +349,6 @@ def eps_conditional(world: GmmWorld, x_t, y, t, s: DiscreteSchedule):
 def eps_unconditional(world: GmmWorld, x_t, t, s: DiscreteSchedule):
     """Exact eps-prediction under the prior mixture (blank condition)."""
     return _eps_from_mixture(prior_mixture(world), x_t, t, s)
-
-
-def log_density_x0_given_y(world: GmmWorld, x_0, y):
-    return mixture_log_density(conditional_posterior(world, y), x_0)
-
-
-def mode_oracle(world: GmmWorld, y, n_starts: int = 8, seed: int = 0) -> np.ndarray:
-    """Approximate argmax of log q(x_0 | y) by multi-start gradient ascent."""
-    post = conditional_posterior(world, y)
-
-    def neg_logd(x):
-        return -mixture_log_density(post, x)
-
-    def neg_grad(x):
-        return -mixture_score(post, x)
-
-    starts = [post.means[j] for j in range(post.means.shape[0])]
-    rng = generator(seed, 0)
-    for i in range(n_starts):
-        j = i % post.means.shape[0]
-        scale = 0.5 * float(np.sqrt(post.eigvals[j].max()))
-        starts.append(post.means[j] + scale * rng.standard_normal(world.dim))
-    best_x, best_val = None, np.inf
-    for x0 in starts:
-        res = minimize(
-            neg_logd, x0, jac=neg_grad, method="L-BFGS-B",
-            options={"maxiter": 500, "gtol": 1e-12},
-        )
-        if res.fun < best_val:
-            best_x, best_val = res.x, res.fun
-    if float(np.linalg.norm(neg_grad(best_x))) > 1e-6:
-        raise NonConvergenceError("mode search gradient norm above 1e-6")
-    return best_x
 
 
 class AnalyticDenoiser:
@@ -346,17 +384,5 @@ class _ZeroDenoiser:
         return np.zeros_like(np.asarray(x_t, dtype=np.float64))
 
 
-class _LinearDenoiser:
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-
-    def eps(self, x_t, condition, t):
-        return np.asarray(x_t, dtype=np.float64) @ self.matrix.T
-
-
 def zero_denoiser():
     return _ZeroDenoiser()
-
-
-def linear_denoiser(matrix: np.ndarray):
-    return _LinearDenoiser(matrix)

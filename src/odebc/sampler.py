@@ -35,11 +35,8 @@ class SolverConfig:
     schedule: DiscreteSchedule
     plan: TimestepPlan
     noise_seed: int = 0
-    ddpm_variance: str = "lower-bound"
 
     def __post_init__(self):
-        if self.ddpm_variance != "lower-bound":
-            raise ValidationError("only the lower-bound DDPM variance is supported")
         if self.kind is SolverKind.EULER_REF:
             if self.plan.steps is not None or self.plan.n_transitions < 1000:
                 raise PlanMismatchError(

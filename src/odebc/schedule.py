@@ -112,11 +112,6 @@ def make_linear_vp_schedule(
     return DiscreteSchedule(betas)
 
 
-def continuous_coeffs(s: DiscreteSchedule, t):
-    """Continuous-time (alpha, sigma, f, g2) of the interpolated schedule."""
-    return s.coeffs(t)
-
-
 @dataclass(frozen=True, eq=False)
 class TimestepPlan:
     """Strictly decreasing sampling grid from the t=1 boundary down to t=0.

@@ -32,10 +32,14 @@ def read_tensor(path) -> np.ndarray:
     if blob[:5] != _MAGIC:
         raise ValidationError(f"{path}: bad magic, not an ODBC1 tensor file")
     offset = 5
+    if len(blob) < offset + 4:
+        raise ValidationError(f"{path}: truncated header, no rank")
     (rank,) = struct.unpack_from("<I", blob, offset)
     offset += 4
     if rank > 8:
         raise ValidationError(f"{path}: implausible rank {rank}")
+    if len(blob) < offset + 4 * rank:
+        raise ValidationError(f"{path}: truncated header, rank {rank} without its dims")
     dims = struct.unpack_from(f"<{rank}I", blob, offset)
     offset += 4 * rank
     count = int(np.prod(dims, dtype=np.int64)) if rank else 1

@@ -1,8 +1,25 @@
-"""Shared world builders for the test suite."""
+"""Shared world builders and test-only oracles for the test suite.
+
+The dense oracle is the model's posterior written with d x d matrices:
+Cholesky solves for the evidence, an eigendecomposition per component and
+scores through the eigenbasis. The package's closed-form two-eigenvalue
+path is checked against it.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
+from scipy.special import logsumexp
 
-from odebc.model import GmmWorld
+from odebc.errors import NonConvergenceError, ValidationError
+from odebc.model import (
+    GmmWorld,
+    conditional_posterior,
+    mixture_log_density,
+    mixture_score,
+)
 from odebc.rng import generator
 
 
@@ -25,3 +42,168 @@ def image_world(height=4, width=4, channels=1, block=2, n_comp=3, tau=0.05,
         weights=w, means=means, stds=stds, tau=tau, block=block,
         shape=(height, width, channels),
     )
+
+
+def block_pool_matrix(height: int, width: int, channels: int, block: int) -> np.ndarray:
+    """Block-average pooling as a dense (m, d) matrix, row-major layout."""
+    if height % block or width % block:
+        raise ValidationError("block must divide both spatial axes")
+    d = height * width * channels
+    lh, lw = height // block, width // block
+    m = lh * lw * channels
+    op = np.zeros((m, d))
+    inv = 1.0 / (block * block)
+    for bi in range(lh):
+        for bj in range(lw):
+            for ch in range(channels):
+                row = (bi * lw + bj) * channels + ch
+                for di in range(block):
+                    for dj in range(block):
+                        col = ((bi * block + di) * width + (bj * block + dj)) * channels + ch
+                        op[row, col] = inv
+    return op
+
+
+def dense_degradation(pool) -> np.ndarray:
+    """D for a BlockPooling as a dense (k, d) matrix."""
+    if pool.block == 1:
+        return np.eye(pool.dim)
+    return block_pool_matrix(*pool.shape, pool.block)
+
+
+def eigenvalues(mix, j: int) -> np.ndarray:
+    """The d eigenvalues of component j: lam_perp (d - k times), lam_par (k)."""
+    pool = mix.pooling
+    return np.repeat([mix.lam_perp[j], mix.lam_par[j]],
+                     [pool.dim - pool.obs_dim, pool.obs_dim])
+
+
+def dense_covariance(mix, j: int) -> np.ndarray:
+    """lam_perp (I - P) + lam_par P as a d x d matrix."""
+    pool = mix.pooling
+    op = dense_degradation(pool)
+    proj = pool.size * op.T @ op
+    return mix.lam_perp[j] * (np.eye(pool.dim) - proj) + mix.lam_par[j] * proj
+
+
+@dataclass(frozen=True)
+class DenseMixture:
+    """Gaussian mixture with per-component eigendecomposed covariances."""
+
+    log_w: np.ndarray
+    means: np.ndarray
+    eigvals: np.ndarray  # (J, d)
+    eigvecs: np.ndarray  # (J, d, d), columns are eigenvectors
+
+    def diffused(self, alpha, sigma):
+        return DenseMixture(self.log_w, alpha * self.means,
+                            alpha * alpha * self.eigvals + sigma * sigma,
+                            self.eigvecs)
+
+
+def dense_prior(world: GmmWorld) -> DenseMixture:
+    n_comp, dim = world.means.shape
+    return DenseMixture(
+        log_w=np.log(world.weights),
+        means=world.means,
+        eigvals=np.repeat(world.stds[:, None] ** 2, dim, axis=1),
+        eigvecs=np.broadcast_to(np.eye(dim), (n_comp, dim, dim)),
+    )
+
+
+def dense_posterior(world: GmmWorld, y: np.ndarray) -> DenseMixture:
+    """Posterior by dense conjugacy:
+      m_j = mu_j + s^2 D^T (s^2 D D^T + tau^2 I)^-1 (y - D mu_j)
+      C_j = s^2 I - s^4 D^T (s^2 D D^T + tau^2 I)^-1 D
+    with weights reweighted by the evidence N(y; D mu_j, G_j)."""
+    op = dense_degradation(world.pooling)
+    m_obs = op.shape[0]
+    n_comp, dim = world.means.shape
+    means = np.empty((n_comp, dim))
+    eigvals = np.empty((n_comp, dim))
+    eigvecs = np.empty((n_comp, dim, dim))
+    log_ev = np.empty(n_comp)
+    gram = op @ op.T
+    for j in range(n_comp):
+        s2 = world.stds[j] ** 2
+        g = s2 * gram + world.tau**2 * np.eye(m_obs)
+        factor = cho_factor(g)
+        resid = y - op @ world.means[j]
+        means[j] = world.means[j] + s2 * (op.T @ cho_solve(factor, resid))
+        cov = s2 * np.eye(dim) - s2 * s2 * (op.T @ cho_solve(factor, op))
+        vals, vecs = np.linalg.eigh(cov)
+        eigvals[j] = np.maximum(vals, 1e-300)
+        eigvecs[j] = vecs
+        _, logdet = np.linalg.slogdet(g)
+        log_ev[j] = -0.5 * (
+            m_obs * np.log(2 * np.pi) + logdet + resid @ cho_solve(factor, resid)
+        )
+    log_w = np.log(world.weights) + log_ev
+    return DenseMixture(log_w - logsumexp(log_w), means, eigvals, eigvecs)
+
+
+def _dense_terms(mix: DenseMixture, x: np.ndarray):
+    x = np.atleast_2d(x)
+    coords = (x[None, :, :] - mix.means[:, None, :]) @ mix.eigvecs
+    quad = np.einsum("jbd,jd->jb", coords**2, 1.0 / mix.eigvals)
+    logdet = np.sum(np.log(mix.eigvals), axis=1)
+    dim = mix.means.shape[1]
+    joint = mix.log_w[:, None] - 0.5 * (dim * np.log(2 * np.pi)
+                                        + logdet[:, None] + quad)
+    return joint, coords
+
+
+def dense_log_density(mix: DenseMixture, x: np.ndarray) -> np.ndarray:
+    return logsumexp(_dense_terms(mix, x)[0], axis=0)
+
+
+def dense_score(mix: DenseMixture, x: np.ndarray) -> np.ndarray:
+    joint, coords = _dense_terms(mix, x)
+    resp = np.exp(joint - logsumexp(joint, axis=0))
+    scaled = (coords / mix.eigvals[:, None, :]) @ mix.eigvecs.transpose(0, 2, 1)
+    return -np.einsum("jb,jbd->bd", resp, scaled)
+
+
+def log_density_x0_given_y(world: GmmWorld, x_0, y):
+    return mixture_log_density(conditional_posterior(world, y), x_0)
+
+
+def mode_oracle(world: GmmWorld, y, n_starts: int = 8, seed: int = 0) -> np.ndarray:
+    """Approximate argmax of log q(x_0 | y) by multi-start gradient ascent."""
+    post = conditional_posterior(world, y)
+
+    def neg_logd(x):
+        return -mixture_log_density(post, x)
+
+    def neg_grad(x):
+        return -mixture_score(post, x)
+
+    starts = [post.means[j] for j in range(post.means.shape[0])]
+    rng = generator(seed, 0)
+    for i in range(n_starts):
+        j = i % post.means.shape[0]
+        scale = 0.5 * float(np.sqrt(eigenvalues(post, j).max()))
+        starts.append(post.means[j] + scale * rng.standard_normal(world.dim))
+    best_x, best_val = None, np.inf
+    for x0 in starts:
+        res = minimize(
+            neg_logd, x0, jac=neg_grad, method="L-BFGS-B",
+            options={"maxiter": 500, "gtol": 1e-12},
+        )
+        if res.fun < best_val:
+            best_x, best_val = res.x, res.fun
+    if float(np.linalg.norm(neg_grad(best_x))) > 1e-6:
+        raise NonConvergenceError("mode search gradient norm above 1e-6")
+    return best_x
+
+
+class _LinearDenoiser:
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+
+    def eps(self, x_t, condition, t):
+        return np.asarray(x_t, dtype=np.float64) @ self.matrix.T
+
+
+def linear_denoiser(matrix: np.ndarray):
+    return _LinearDenoiser(matrix)

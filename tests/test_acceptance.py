@@ -56,7 +56,7 @@ def test_criterion_1_score_matches_finite_differences():
         x = mixture_sample(mix_t, 1, generator(42, i))[0]
         # central differences of the explicit log density, step scaled to
         # the narrowest mixture direction
-        h = 4e-5 * np.sqrt(mix_t.eigvals.min())
+        h = 4e-5 * np.sqrt(mix_t.lam_par.min())
         fd = np.empty(world.dim)
         for j in range(world.dim):
             e = np.zeros(world.dim)

@@ -12,7 +12,6 @@ from odebc.bcsearch import (
     ReferenceSet,
     held_out_gain,
     objective,
-    sample_with_bc,
     search_optimal_bc,
 )
 from odebc.errors import ShapeMismatchError, ValidationError
@@ -207,16 +206,6 @@ def test_held_out_gain_report():
     assert in_gain.gain_sigmas >= out_gain.gain_sigmas
     with pytest.raises(ValidationError):
         held_out_gain(res.best_bc, hold, cfg, den, L2, n_random=1, seed=0)
-
-
-def test_sample_with_bc_is_projection():
-    world, den, refs = small_setup(n_pairs=1)
-    cfg = ddim_cfg(10)
-    bc = generator(10, 0).standard_normal(world.dim)
-    y = refs.pairs[0][1]
-    a = sample_with_bc(bc, y, cfg, den)
-    np.testing.assert_array_equal(a, project(den, cfg, bc, y))
-    np.testing.assert_array_equal(a, sample_with_bc(bc, y, cfg, den))
 
 
 def test_objective_shape_guard():

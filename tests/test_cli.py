@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from odebc.config import (
 )
 from odebc.errors import ValidationError
 from odebc.sampler import SolverKind
-from odebc.tensorio import read_tensor
+from odebc.tensorio import read_tensor, write_tensor
 
 SMALL_WORLD = [
     "--set", 'world.shape=[4,4,1]',
@@ -215,3 +216,36 @@ def test_render_requires_image_world(tmp_path):
 
 def test_verify_suite_passes(tmp_path):
     assert cli.run(["verify", "--out", str(tmp_path / "v")]) == 0
+
+
+def test_truncated_tensor_is_validation_error(tmp_path, capsys):
+    magic_only = tmp_path / "magic.t"
+    magic_only.write_bytes(b"ODBC1")
+    no_dims = tmp_path / "no_dims.t"
+    no_dims.write_bytes(b"ODBC1" + struct.pack("<I", 2))
+    for path in (magic_only, no_dims):
+        with pytest.raises(ValidationError, match="truncated header"):
+            read_tensor(path)
+    y = tmp_path / "y.t"
+    write_tensor(y, np.zeros(4))
+    code = cli.run(["sample", "--out", str(tmp_path / "s"), *SMALL_WORLD,
+                    "--bc", str(magic_only), "--y", str(y)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_integer_workers_rejected(tmp_path, monkeypatch, capsys):
+    base = ["search", *SMALL_WORLD, "--set", "search.candidates=2",
+            "--set", "search.references=1", "--set", "run.holdout=0"]
+    monkeypatch.setenv("ODEBC_WORKERS", "abc")
+    assert cli.run([*base, "--out", str(tmp_path / "env")]) == 1
+    assert "ODEBC_WORKERS" in capsys.readouterr().err
+    monkeypatch.delenv("ODEBC_WORKERS")
+    for i, bad in enumerate((2.5, "x", True)):
+        config = tmp_path / f"workers{i}.json"
+        config.write_text(json.dumps({"run": {"workers": bad}}))
+        assert cli.run([*base, "--config", str(config),
+                        "--out", str(tmp_path / f"w{i}")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.workers") and err.count("\n") == 1

@@ -5,27 +5,39 @@ import pytest
 from scipy.integrate import simpson
 from scipy.stats import multivariate_normal
 
-from helpers import flat_world, image_world
+from helpers import (
+    block_pool_matrix,
+    dense_covariance,
+    dense_log_density,
+    dense_posterior,
+    dense_prior,
+    dense_score,
+    eigenvalues,
+    flat_world,
+    image_world,
+    linear_denoiser,
+    log_density_x0_given_y,
+    mode_oracle,
+)
+from odebc.config import build_world, default_config
 from odebc.errors import ShapeMismatchError, ValidationError
 from odebc.model import (
     BLANK,
     AnalyticDenoiser,
+    BlockPooling,
     GmmWorld,
-    block_pool_matrix,
     conditional_posterior,
     eps_conditional,
     eps_unconditional,
-    linear_denoiser,
-    log_density_x0_given_y,
     mixture_log_density,
     mixture_sample,
     mixture_score,
-    mode_oracle,
     prior_mixture,
     zero_denoiser,
 )
 from odebc.rng import generator
 from odebc.schedule import make_linear_vp_schedule
+from odebc.worldgen import sample_pair
 
 
 def single_block_world(tau=0.1, s=1.0):
@@ -52,6 +64,22 @@ def test_pooling_matrix_structure():
                                rtol=1e-14)
 
 
+@pytest.mark.parametrize("shape,block", [((4, 4, 1), 2), ((6, 6, 3), 3),
+                                         ((1, 5, 1), 1)])
+def test_block_pooling_matches_dense_matrix(shape, block):
+    pool = BlockPooling(shape, block)
+    op = block_pool_matrix(*shape, block)
+    rng = generator(2, 0)
+    x = rng.standard_normal((3, pool.dim))
+    v = rng.standard_normal((3, pool.obs_dim))
+    assert op.shape == (pool.obs_dim, pool.dim)
+    np.testing.assert_allclose(pool.sums(x), pool.size * x @ op.T, rtol=1e-14)
+    np.testing.assert_allclose(pool.spread_add(x, v), x + pool.size * v @ op,
+                               rtol=1e-14)
+    with pytest.raises(ValidationError):
+        BlockPooling((shape[0] + 1, shape[1], shape[2]), 2)
+
+
 def test_world_validation():
     with pytest.raises(ValidationError):
         GmmWorld(np.array([0.5, 0.4]), np.zeros((2, 4)), np.ones(2), tau=0.1)
@@ -62,6 +90,53 @@ def test_world_validation():
     with pytest.raises(ShapeMismatchError):
         GmmWorld(np.array([1.0]), np.zeros((1, 4)), np.ones(1), tau=0.1,
                  block=2, shape=(2, 4, 1))
+
+
+def _config_world(side):
+    cfg = default_config()
+    cfg["world"]["shape"] = [side, side, 1]
+    return build_world(cfg)
+
+
+ORACLE_WORLDS = {
+    "flat": flat_world,
+    "8x8": lambda: _config_world(8),
+    "6x6x3": lambda: image_world(6, 6, 3, block=3),
+    "32x32": lambda: _config_world(32),
+}
+
+
+def assert_rel(got, want, tol=1e-12):
+    """Largest deviation within tol of the largest reference magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("conditional", [False, True], ids=["blank", "posterior"])
+@pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+def test_closed_form_matches_dense_oracle(world_name, conditional):
+    world = ORACLE_WORLDS[world_name]()
+    s = make_linear_vp_schedule(1000, 1e-4, 0.02)
+    _, y = sample_pair(world, 3, 0)
+    if conditional:
+        mix, dense, cond = conditional_posterior(world, y), dense_posterior(world, y), y
+    else:
+        mix, dense, cond = prior_mixture(world), dense_prior(world), BLANK
+    assert_rel(mix.means, dense.means)
+    assert_rel(mix.log_w, dense.log_w)
+    den = AnalyticDenoiser(world, s)
+    rng = generator(4, 0)
+    for t in (0.02, 0.5, 0.97):
+        alpha, sigma = float(s.alpha(t)), float(s.sigma(t))
+        mix_t, dense_t = mix.diffused(alpha, sigma), dense.diffused(alpha, sigma)
+        # random states and states drawn near the components
+        x = np.concatenate([rng.standard_normal((3, world.dim)),
+                            mixture_sample(mix_t, 3, rng)])
+        score = dense_score(dense_t, x)
+        assert_rel(mixture_log_density(mix_t, x), dense_log_density(dense_t, x))
+        assert_rel(mixture_score(mix_t, x), score)
+        assert_rel(den.eps(x, cond, t), -sigma * score)
 
 
 def test_posterior_uninformative_observation():
@@ -80,7 +155,7 @@ def test_posterior_single_block_by_hand():
     np.testing.assert_allclose(post.means[0], 0.25 / 0.26, rtol=1e-12)
     # Covariance: block-mean direction shrinks to tau^2/(1/4+tau^2), the
     # three orthogonal directions keep the prior variance.
-    vals = np.sort(post.eigvals[0])
+    vals = np.sort(eigenvalues(post, 0))
     np.testing.assert_allclose(vals, [0.01 / 0.26, 1.0, 1.0, 1.0], rtol=1e-10)
 
 
@@ -99,7 +174,7 @@ def test_log_density_single_component_matches_scipy():
     world = flat_world(dim=5, n_comp=1, tau=0.3)
     y = world.degrade(world.means[0]) + 0.1
     post = conditional_posterior(world, y)
-    cov = (post.eigvecs[0] * post.eigvals[0]) @ post.eigvecs[0].T
+    cov = dense_covariance(post, 0)
     ref = multivariate_normal(mean=post.means[0], cov=cov)
     x = generator(3, 0).standard_normal((20, 5))
     np.testing.assert_allclose(
@@ -151,7 +226,7 @@ def test_score_matches_finite_difference(world_fn):
             alpha, sigma = float(s.alpha(t)), float(s.sigma(t))
             mix = mix0.diffused(alpha, sigma)
             x = mixture_sample(mix, 1, rng)[0]
-            h = 4e-5 * np.sqrt(mix.eigvals.min())
+            h = 4e-5 * np.sqrt(mix.lam_par.min())
             got = mixture_score(mix, x)
             want = fd_score(mix, x, h)
             assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
@@ -166,8 +241,7 @@ def test_eps_single_gaussian_closed_form():
     x = rng.standard_normal(6)
     for t in [0.05, 0.4, 0.9]:
         alpha, sigma = float(s.alpha(t)), float(s.sigma(t))
-        cov = (post.eigvecs[0] * (alpha**2 * post.eigvals[0] + sigma**2)) \
-            @ post.eigvecs[0].T
+        cov = dense_covariance(post.diffused(alpha, sigma), 0)
         want = sigma * np.linalg.solve(cov, x - alpha * post.means[0])
         np.testing.assert_allclose(eps_conditional(world, x, y, t, s), want,
                                    rtol=1e-9)

@@ -6,14 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import flat_world
+from helpers import dense_covariance, flat_world, linear_denoiser
 from odebc import rng
 from odebc.errors import PlanMismatchError, ValidationError
 from odebc.metrics import energy_distance_test
 from odebc.model import (
     BLANK,
     AnalyticDenoiser,
-    linear_denoiser,
     mixture_sample,
     prior_mixture,
     zero_denoiser,
@@ -52,9 +51,6 @@ def test_config_validation():
         cfg_for(SolverKind.EULER_REF, uniform_continuous_plan(999))
     with pytest.raises(PlanMismatchError):
         cfg_for(SolverKind.DDIM, uniform_continuous_plan(1000))
-    with pytest.raises(ValidationError):
-        SolverConfig(SolverKind.DDIM, SCHED, resample_timesteps(SCHED, 10),
-                     ddpm_variance="learned")
 
 
 def test_ddim_telescoping_zero_model():
@@ -182,7 +178,7 @@ def prior_moments(world):
     w = np.exp(mix.log_w)
     mean = w @ mix.means
     second = sum(
-        w[j] * (np.diag(mix.eigvals[j]) + np.outer(mix.means[j], mix.means[j]))
+        w[j] * (dense_covariance(mix, j) + np.outer(mix.means[j], mix.means[j]))
         for j in range(w.size)
     )
     return mean, second - np.outer(mean, mean)
