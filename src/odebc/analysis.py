@@ -11,12 +11,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bcsearch import CandidateSet, ReferenceSet, objective_table
+from .bcsearch import CandidateSet, ReferenceSet, distance_table, objective_table
 from .errors import ValidationError
 from .metrics import Metric, pearson_corr
 from .model import AnalyticDenoiser, GmmWorld
 from .rng import gauss, generator
-from .sampler import SolverConfig, SolverKind, project, run_solver
+from .sampler import SolverConfig, SolverKind, run_solver
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,8 @@ def ablate_candidate_size(world: GmmWorld, refs_fixed, sizes, repeats: int,
     """Search quality versus candidate-set size, fresh seeds per repeat.
 
     Candidate sets are prefix-stable, so one K_max x R table per repeat
-    serves every size as a row prefix.
+    serves every size as a row prefix; the distinct winners of a repeat
+    share one held-out table.
     """
     if holdout_pairs is None:
         if len(refs_fixed) < 2:
@@ -158,16 +159,13 @@ def ablate_candidate_size(world: GmmWorld, refs_fixed, sizes, repeats: int,
         cands = CandidateSet(seed=seed + 7_919 * (r + 1), size=k_max,
                              dim=world.dim)
         table = objective_table(cands, refs, solver, model, metric, workers)
-        hold_cache = {}
-        for si, size in enumerate(sizes):
-            sums = _subset_sums(table[:int(size)], range(len(refs)))
-            best = int(np.argmin(sums))
-            if best not in hold_cache:
-                bc = cands.candidate(best)
-                row = [metric.dist(project(model, solver, bc, y), z)
-                       for z, y in hold_refs.pairs]
-                hold_cache[best] = float(np.mean(row))
-            per_repeat[si, r] = hold_cache[best]
+        bests = [int(np.argmin(_subset_sums(table[:int(size)], range(len(refs)))))
+                 for size in sizes]
+        distinct = list(dict.fromkeys(bests))
+        hold = distance_table(np.stack([cands.candidate(k) for k in distinct]),
+                              hold_refs, solver, model, metric, workers)
+        hold_means = dict(zip(distinct, hold.mean(axis=1)))
+        per_repeat[:, r] = [hold_means[best] for best in bests]
     return _curve_from_repeats(sizes, per_repeat)
 
 

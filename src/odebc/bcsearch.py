@@ -72,17 +72,50 @@ class SearchResult:
     per_candidate_sums: np.ndarray
 
 
+# Rows per projection task. A constant, never derived from the worker count
+# or from K, so a row's chunk and hence its bits never depend on either.
+CHUNK = 64
+
+
+def distance_table(stack, refs: ReferenceSet, solver: SolverConfig, model,
+                   metric: Metric, workers: int = 1) -> np.ndarray:
+    """n x R table of metric(project(stack[k], y_i), z_i).
+
+    Each (chunk of up to CHUNK rows, reference) task is one projection of
+    an (n, d) state and one row-wise metric call. Tasks write their cells
+    by index, so the table is bit-identical for any `workers`.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 2 or stack.shape[1:] != refs.pairs[0][0].shape:
+        raise ShapeMismatchError(
+            f"stack shape {stack.shape} is not (n,) + reference HR shape "
+            f"{refs.pairs[0][0].shape}")
+    table = np.empty((stack.shape[0], len(refs)))
+
+    def task(cell):
+        start, i = cell
+        z, y = refs.pairs[i]
+        rows = stack[start:start + CHUNK]
+        table[start:start + CHUNK, i] = metric.rows(
+            project(model, solver, rows, y), z)
+
+    cells = [(start, i) for start in range(0, stack.shape[0], CHUNK)
+             for i in range(len(refs))]
+    if workers <= 1:
+        for cell in cells:
+            task(cell)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(task, cells))
+    return table
+
+
 def objective(bc, refs: ReferenceSet, solver: SolverConfig, model,
               metric: Metric):
-    """Sum of metric(project(bc, y_i), z_i), accumulated in ascending i."""
+    """Sum of metric(project(bc, y_i), z_i), accumulated in ascending i;
+    the one-candidate case of distance_table."""
     bc = np.asarray(bc, dtype=np.float64)
-    if bc.shape != refs.pairs[0][0].shape:
-        raise ShapeMismatchError(
-            f"bc shape {bc.shape} != reference HR shape {refs.pairs[0][0].shape}"
-        )
-    per_ref = [
-        metric.dist(project(model, solver, bc, y), z) for z, y in refs.pairs
-    ]
+    per_ref = distance_table(bc[None], refs, solver, model, metric)[0].tolist()
     total = 0.0
     for value in per_ref:
         total += value
@@ -92,22 +125,9 @@ def objective(bc, refs: ReferenceSet, solver: SolverConfig, model,
 def objective_table(cands: CandidateSet, refs: ReferenceSet,
                     solver: SolverConfig, model, metric: Metric,
                     workers: int = 1) -> np.ndarray:
-    """K x R distance table; rows computed independently, one per candidate.
-
-    Row k never depends on the worker count or on other rows, so tables are
-    bit-identical for any `workers`.
-    """
-
-    def row(k: int) -> list[float]:
-        return objective(cands.candidate(k), refs, solver, model, metric)[1]
-
-    indices = range(cands.size)
-    if workers <= 1:
-        rows = [row(k) for k in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, indices))
-    return np.asarray(rows, dtype=np.float64)
+    """K x R distance table of the candidate set; see distance_table."""
+    stack = np.stack([cands.candidate(k) for k in range(cands.size)])
+    return distance_table(stack, refs, solver, model, metric, workers)
 
 
 def result_from_table(cands: CandidateSet, table: np.ndarray) -> SearchResult:

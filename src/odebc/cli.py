@@ -107,7 +107,7 @@ def _reference_pairs(cfg, world, count, seed):
 def _cmd_gen_world(args) -> int:
     cfg, out_dir = _resolve(args, "gen-world")
     world = build_world(cfg)
-    pairs = sample_pairs(world, int(cfg["run"]["pairs"]), cfg["run"]["seed"])
+    pairs = sample_pairs(world, cfg["run"]["pairs"], cfg["run"]["seed"])
     save_pairs(os.path.join(out_dir, "pairs"), pairs, cfg["run"]["seed"])
     with open(os.path.join(out_dir, "world.json"), "w") as fh:
         json.dump(cfg["world"], fh, indent=2, sort_keys=True)
@@ -123,11 +123,11 @@ def _cmd_search(args) -> int:
     workers = cfg["run"]["workers"]
     sc = cfg["search"]
     refs = ReferenceSet(
-        tuple(_reference_pairs(cfg, world, int(sc["references"]),
+        tuple(_reference_pairs(cfg, world, sc["references"],
                                sc["reference_seed"])),
         provenance=f"seed={sc['reference_seed']}")
-    cands = CandidateSet(seed=int(sc["candidate_seed"]),
-                         size=int(sc["candidates"]), dim=world.dim)
+    cands = CandidateSet(seed=sc["candidate_seed"],
+                         size=sc["candidates"], dim=world.dim)
     result = search_optimal_bc(cands, refs, solver, model, metric, workers)
     write_tensor(os.path.join(out_dir, "bc.t"), result.best_bc)
     _write_csv(
@@ -147,13 +147,13 @@ def _cmd_search(args) -> int:
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    n_holdout = int(cfg["run"]["holdout"])
+    n_holdout = cfg["run"]["holdout"]
     if n_holdout:
         holdout = ReferenceSet(
             tuple(sample_pairs(world, n_holdout, cfg["run"]["holdout_seed"])),
             provenance="holdout")
         report = held_out_gain(result.best_bc, holdout, solver, model, metric,
-                               n_random=int(sc["n_random"]),
+                               n_random=sc["n_random"],
                                seed=cfg["run"]["random_seed"],
                                workers=workers)
         _write_csv(
@@ -204,7 +204,7 @@ def _cmd_benchmark(args) -> int:
     world, _, _, _, metric = _build_all(cfg)
     entries = cfg["run"]["solvers"] or [cfg["solver"]]
     solvers = [build_solver({**cfg["solver"], **entry}) for entry in entries]
-    pairs = _reference_pairs(cfg, world, int(cfg["run"]["test_pairs"]),
+    pairs = _reference_pairs(cfg, world, cfg["run"]["test_pairs"],
                              cfg["run"]["test_seed"])
     bc = read_tensor(args.bc) if args.bc else None
     rows = benchmark_samplers(world, pairs, solvers, bc, [metric],
@@ -233,14 +233,14 @@ def _curve_csv(path, curve) -> None:
 def _cmd_ablate_r(args) -> int:
     cfg, out_dir = _resolve(args, "ablate-r")
     world, _, solver, _, metric = _build_all(cfg)
-    pool = sample_pairs(world, int(cfg["run"]["pairs"]), cfg["run"]["seed"])
-    holdout = sample_pairs(world, int(cfg["run"]["holdout"]),
+    pool = sample_pairs(world, cfg["run"]["pairs"], cfg["run"]["seed"])
+    holdout = sample_pairs(world, cfg["run"]["holdout"],
                            cfg["run"]["holdout_seed"])
     sizes = cfg["run"]["sizes"] or [1, 2, 4, 8, 16]
     curve = ablate_reference_size(
-        world, pool, sizes, int(cfg["run"]["repeats"]),
-        int(cfg["run"]["k_fixed"]), solver, metric,
-        seed=int(cfg["search"]["candidate_seed"]), holdout_pairs=holdout,
+        world, pool, sizes, cfg["run"]["repeats"],
+        cfg["run"]["k_fixed"], solver, metric,
+        seed=cfg["search"]["candidate_seed"], holdout_pairs=holdout,
         workers=cfg["run"]["workers"])
     _curve_csv(os.path.join(out_dir, "ablate_r.csv"), curve)
     print(f"wrote {out_dir}/ablate_r.csv")
@@ -250,14 +250,14 @@ def _cmd_ablate_r(args) -> int:
 def _cmd_ablate_k(args) -> int:
     cfg, out_dir = _resolve(args, "ablate-k")
     world, _, solver, _, metric = _build_all(cfg)
-    refs = sample_pairs(world, int(cfg["search"]["references"]),
+    refs = sample_pairs(world, cfg["search"]["references"],
                         cfg["search"]["reference_seed"])
-    holdout = sample_pairs(world, int(cfg["run"]["holdout"]),
+    holdout = sample_pairs(world, cfg["run"]["holdout"],
                            cfg["run"]["holdout_seed"])
     sizes = cfg["run"]["sizes"] or [10, 20, 40, 80, 160]
     curve = ablate_candidate_size(
-        world, refs, sizes, int(cfg["run"]["repeats"]), solver, metric,
-        seed=int(cfg["search"]["candidate_seed"]), holdout_pairs=holdout,
+        world, refs, sizes, cfg["run"]["repeats"], solver, metric,
+        seed=cfg["search"]["candidate_seed"], holdout_pairs=holdout,
         workers=cfg["run"]["workers"])
     _curve_csv(os.path.join(out_dir, "ablate_k.csv"), curve)
     print(f"wrote {out_dir}/ablate_k.csv")
@@ -267,10 +267,10 @@ def _cmd_ablate_k(args) -> int:
 def _cmd_independence(args) -> int:
     cfg, out_dir = _resolve(args, "independence")
     world, _, solver, model, metric = _build_all(cfg)
-    conds = sample_pairs(world, int(cfg["run"]["conditions"]),
+    conds = sample_pairs(world, cfg["run"]["conditions"],
                          cfg["run"]["condition_seed"])
-    cands = CandidateSet(seed=int(cfg["search"]["candidate_seed"]),
-                         size=int(cfg["search"]["candidates"]),
+    cands = CandidateSet(seed=cfg["search"]["candidate_seed"],
+                         size=cfg["search"]["candidates"],
                          dim=world.dim)
     mat = independence_matrix(world, conds, cands, solver, metric,
                               workers=cfg["run"]["workers"])
@@ -279,13 +279,13 @@ def _cmd_independence(args) -> int:
         [f"cond_{j:03d}" for j in range(len(conds))],
         [[_fmt(v) for v in row] for row in mat],
     )
-    for k in range(args.render):
-        bc = cands.candidate(k)
+    if args.render > 0:
+        bcs = np.stack([cands.candidate(k) for k in range(args.render)])
         for j, (_, y) in enumerate(conds):
-            x0 = project(model, solver, bc, y)
-            _render_tensor(
-                os.path.join(out_dir, f"render_k{k:02d}_c{j:02d}.pgm"),
-                world, x0)
+            for k, x0 in enumerate(project(model, solver, bcs, y)):
+                _render_tensor(
+                    os.path.join(out_dir, f"render_k{k:02d}_c{j:02d}.pgm"),
+                    world, x0)
     off = mat[~np.eye(len(conds), dtype=bool)]
     print(f"wrote {out_dir}/independence.csv "
           f"(median off-diagonal {np.median(off):.3f})")

@@ -146,11 +146,46 @@ def resolve_config(path=None, sets=(), workers=None, seed=None,
         config["run"]["seed"] = seed
     if out is not None:
         config["run"]["out"] = out
+    _check_keys(config)
     if config["run"]["workers"] is None:
         config["run"]["workers"] = _worker_count(
             os.environ.get("ODEBC_WORKERS", "1"), "ODEBC_WORKERS")
     config["run"]["workers"] = _worker_count(config["run"]["workers"], "run.workers")
     return config
+
+
+# Sections whose keys are fixed by DEFAULTS (world specs are free-form).
+_CHECKED_SECTIONS = ("solver", "search", "metric", "run")
+_COUNT_KEYS = {
+    "search": ("candidates", "references", "n_random"),
+    "run": ("holdout", "pairs", "test_pairs", "repeats", "k_fixed", "conditions"),
+    "solver": ("steps", "total_steps"),
+}
+
+
+def _check_keys(config: dict) -> None:
+    """Reject unknown keys, and counts or seeds that are not JSON integers."""
+    for section in _CHECKED_SECTIONS:
+        values = config[section]
+        if not isinstance(values, dict):
+            raise ValidationError(f"config section {section!r} must be an object")
+        unknown = sorted(set(values) - set(DEFAULTS[section]))
+        if unknown:
+            raise ValidationError(f"unknown {section} key(s) {unknown}")
+        for key in values:
+            if key in _COUNT_KEYS.get(section, ()):
+                _integer(values[key], f"{section}.{key}", minimum=0)
+            elif key.endswith("seed"):
+                _integer(values[key], f"{section}.{key}")
+
+
+def _integer(value, source: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a bool) of at least `minimum`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{source} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _worker_count(value, source: str) -> int:
@@ -160,9 +195,7 @@ def _worker_count(value, source: str) -> int:
             value = int(value)
         except ValueError:
             pass
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{source} must be an integer >= 1, got {value!r}")
-    return value
+    return _integer(value, source, minimum=1)
 
 
 def build_world(config: dict) -> GmmWorld:

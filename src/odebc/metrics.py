@@ -20,18 +20,60 @@ def _pair(a, b):
     return a, b
 
 
+def _stack(a, b):
+    """An (n, ...) stack a and a target b of the same shape or of one row's
+    shape; b comes back with a leading axis of n or 1 for broadcasting."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape == a.shape[1:]:
+        b = b[None]
+    elif b.shape != a.shape:
+        raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _row_means(x: np.ndarray) -> np.ndarray:
+    return x.reshape(x.shape[0], -1).mean(axis=1)
+
+
+def _l2_rows(a, b) -> np.ndarray:
+    a, b = _stack(a, b)
+    return _row_means((a - b) ** 2)
+
+
+def _psnr_rows(a, b, peak: float = 1.0) -> np.ndarray:
+    # math.log10 per row: numpy's vectorised log10 can differ in the last bit.
+    return np.array([10.0 * math.log10(peak * peak / mse) if mse else math.inf
+                     for mse in _l2_rows(a, b)])
+
+
+def _gradperc_rows(a, b, shape=None) -> np.ndarray:
+    a, b = _stack(a, b)
+    if shape is not None:
+        a = a.reshape((a.shape[0],) + tuple(shape))
+        b = b.reshape((b.shape[0],) + tuple(shape))
+    total = np.zeros(a.shape[0])
+    for axis in range(1, min(a.ndim, 3)):
+        if a.shape[axis] < 2:
+            continue
+        gap = np.diff(a, axis=axis) - np.diff(b, axis=axis)
+        total += _row_means(gap**2)
+    return total + 0.1 * _row_means((a - b) ** 2)
+
+
+def _one_row(rows_fn, a, b, **kwargs) -> float:
+    a, b = _pair(a, b)
+    return float(rows_fn(a[None], b[None], **kwargs)[0])
+
+
 def l2_distance(a, b) -> float:
     """Mean over elements of the squared difference."""
-    a, b = _pair(a, b)
-    return float(np.mean((a - b) ** 2))
+    return _one_row(_l2_rows, a, b)
 
 
 def psnr(a, b, peak: float = 1.0) -> float:
     """10 log10(peak^2 / MSE); math.inf is the explicit identical flag."""
-    mse = l2_distance(a, b)
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return _one_row(_psnr_rows, a, b, peak=peak)
 
 
 def grad_perceptual_distance(a, b, shape: tuple[int, int, int] | None = None) -> float:
@@ -40,19 +82,7 @@ def grad_perceptual_distance(a, b, shape: tuple[int, int, int] | None = None) ->
     shape reshapes flat vectors to (H, W, C) so the differences run along
     both spatial axes; without it the input's own axes are used.
     """
-    a, b = _pair(a, b)
-    if shape is not None:
-        a = a.reshape(shape)
-        b = b.reshape(shape)
-    total = 0.0
-    axes = range(min(a.ndim, 2))
-    for axis in axes:
-        if a.shape[axis] < 2:
-            continue
-        ga = np.diff(a, axis=axis)
-        gb = np.diff(b, axis=axis)
-        total += float(np.mean((ga - gb) ** 2))
-    return total + 0.1 * l2_distance(a, b)
+    return _one_row(_gradperc_rows, a, b, shape=shape)
 
 
 def pearson_corr(u, v) -> float:
@@ -70,23 +100,30 @@ def pearson_corr(u, v) -> float:
 
 @dataclass(frozen=True)
 class Metric:
-    """Named distance; search and benchmarks minimize dist."""
+    """Named distance; search and benchmarks minimize it.
+
+    rows(a, b) scores every row of an (n, ...) stack a against b, one
+    target row or n of them, in one call; dist is its one-row case.
+    """
 
     name: str
-    _fn: callable
+    _rows: callable
+
+    def rows(self, a, b) -> np.ndarray:
+        return self._rows(a, b)
 
     def dist(self, a, b) -> float:
-        return self._fn(a, b)
+        return _one_row(self._rows, a, b)
 
 
 def get_metric(name: str, shape: tuple[int, int, int] | None = None) -> Metric:
     if name == "l2":
-        return Metric("l2", l2_distance)
+        return Metric("l2", _l2_rows)
     if name == "psnr":
         # Negated so that minimizing the metric maximizes PSNR.
-        return Metric("psnr", lambda a, b: -psnr(a, b))
+        return Metric("psnr", lambda a, b: -_psnr_rows(a, b))
     if name == "gradperc":
-        return Metric("gradperc", lambda a, b: grad_perceptual_distance(a, b, shape))
+        return Metric("gradperc", lambda a, b: _gradperc_rows(a, b, shape))
     raise ValidationError(f"unknown metric {name!r}")
 
 

@@ -199,7 +199,3 @@ def uniform_continuous_plan(n_steps: int) -> TimestepPlan:
     times = np.linspace(1.0, 0.0, n_steps + 1)
     return TimestepPlan(times=times, steps=None)
 
-
-def identity_plan(s: DiscreteSchedule) -> TimestepPlan:
-    """The full discrete grid, T-1 down to 0."""
-    return resample_timesteps(s, s.total_steps)

@@ -21,6 +21,7 @@ from odebc.model import (
     mixture_score,
 )
 from odebc.rng import generator
+from odebc.schedule import DiscreteSchedule, TimestepPlan, resample_timesteps
 
 
 def flat_world(dim=8, n_comp=3, tau=0.2, seed=7, spread=2.0, std=0.6):
@@ -207,3 +208,8 @@ class _LinearDenoiser:
 
 def linear_denoiser(matrix: np.ndarray):
     return _LinearDenoiser(matrix)
+
+
+def identity_plan(s: DiscreteSchedule) -> TimestepPlan:
+    """The full discrete grid, T-1 down to 0."""
+    return resample_timesteps(s, s.total_steps)

@@ -8,10 +8,12 @@ from scipy.stats import spearmanr
 
 from helpers import flat_world, image_world
 from odebc.bcsearch import (
+    CHUNK,
     CandidateSet,
     ReferenceSet,
     held_out_gain,
     objective,
+    objective_table,
     search_optimal_bc,
 )
 from odebc.errors import ShapeMismatchError, ValidationError
@@ -33,6 +35,25 @@ L2 = get_metric("l2")
 
 def ddim_cfg(n):
     return SolverConfig(SolverKind.DDIM, SCHED, resample_timesteps(SCHED, n))
+
+
+def dpm2_cfg(n):
+    return SolverConfig(SolverKind.DPM_SOLVER_2, SCHED,
+                        resample_timesteps(SCHED, n))
+
+
+class CountingDenoiser:
+    """Counts eps calls and rows of the wrapped denoiser."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.rows = 0
+
+    def eps(self, x_t, condition, t):
+        self.calls += 1
+        self.rows += np.atleast_2d(x_t).shape[0]
+        return self.inner.eps(x_t, condition, t)
 
 
 def small_setup(n_pairs=8, seed=70):
@@ -163,6 +184,42 @@ def test_search_bit_identical_across_workers():
     np.testing.assert_array_equal(res1.per_candidate_sums,
                                   res8.per_candidate_sums)
     assert res1.best_index == res8.best_index
+
+
+@pytest.mark.parametrize("world_kind", ["flat", "image"])
+@pytest.mark.parametrize("solver", ["ddim", "dpm2"])
+@pytest.mark.parametrize("name", ["l2", "psnr", "gradperc"])
+def test_batched_table_matches_per_row_oracle(world_kind, solver, name):
+    # K = CHUNK + 3 leaves a partial last chunk of 3 rows.
+    if world_kind == "flat":
+        world = flat_world(dim=8, n_comp=3, tau=0.2, seed=7)
+    else:
+        world = image_world(4, 4, 1, 2, 3, tau=0.05, seed=11)
+    den = AnalyticDenoiser(world, SCHED)
+    refs = ReferenceSet(tuple(sample_pairs(world, 2, seed=45)))
+    cfg = ddim_cfg(10) if solver == "ddim" else dpm2_cfg(6)
+    metric = get_metric(name, shape=world.shape)
+    cands = CandidateSet(seed=12, size=CHUNK + 3, dim=world.dim)
+    table = objective_table(cands, refs, cfg, den, metric)
+    oracle = np.array([
+        [metric.dist(project(den, cfg, cands.candidate(k), y), z)
+         for z, y in refs.pairs]
+        for k in range(cands.size)])
+    if name == "l2":
+        np.testing.assert_array_equal(table, oracle)
+    else:
+        np.testing.assert_allclose(table, oracle, rtol=1e-14, atol=0.0)
+
+
+def test_table_makes_one_eps_call_per_chunk_reference_and_step():
+    world = image_world(4, 4, 1, 2, 3, tau=0.05, seed=11)
+    den = CountingDenoiser(AnalyticDenoiser(world, SCHED))
+    refs = ReferenceSet(tuple(sample_pairs(world, 2, seed=46)))
+    cands = CandidateSet(seed=13, size=CHUNK + 3, dim=world.dim)
+    objective_table(cands, refs, ddim_cfg(10), den, L2)
+    # 2 chunks x 2 references x 9 ddim transitions
+    assert den.calls == 2 * 2 * 9
+    assert den.rows == (CHUNK + 3) * 2 * 9
 
 
 def test_objective_ranking_tracks_posterior_density():

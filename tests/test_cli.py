@@ -249,3 +249,31 @@ def test_non_integer_workers_rejected(tmp_path, monkeypatch, capsys):
                         "--out", str(tmp_path / f"w{i}")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: run.workers") and err.count("\n") == 1
+
+
+def test_unknown_keys_and_fractional_counts_rejected(tmp_path, capsys):
+    base = ["search", *SMALL_WORLD, "--set", "search.references=1",
+            "--set", "run.holdout=0"]
+    bad_sets = [
+        ("search.candidtes=5", "unknown search key(s) ['candidtes']"),
+        ("run.holdot=2", "unknown run key(s) ['holdot']"),
+        ("search.candidates=2.5", "search.candidates must be an integer"),
+        ("search.n_random=2.7", "search.n_random must be an integer"),
+        ("search.candidates=true", "search.candidates must be an integer"),
+        ("solver.steps=10.0", "solver.steps must be an integer"),
+        ("run.test_seed=1.5", "run.test_seed must be an integer"),
+        ('search.candidate_seed="7"', "search.candidate_seed must be an integer"),
+    ]
+    for i, (expr, message) in enumerate(bad_sets):
+        code = cli.run([*base, "--set", expr, "--out", str(tmp_path / f"b{i}")])
+        err = capsys.readouterr().err
+        assert code == 1, expr
+        assert err.startswith(f"error: {message}"), err
+        assert err.count("\n") == 1, expr
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"metric": {"name": "l2", "nmae": "psnr"}}))
+    assert cli.run([*base, "--config", str(config),
+                    "--out", str(tmp_path / "typo")]) == 1
+    assert "unknown metric key(s) ['nmae']" in capsys.readouterr().err
+    assert cli.run([*base, "--set", "search.candidates=2",
+                    "--out", str(tmp_path / "ok")]) == 0

@@ -105,6 +105,28 @@ def test_metric_axioms(a, scale):
         assert d == pytest.approx(metric.dist(b, a), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("shape", [None, (4, 4, 1), (2, 3, 2)])
+def test_metric_rows_equal_scalar_form_on_each_row(shape):
+    dim = 12 if shape is None else int(np.prod(shape))
+    rng = generator(6, 0)
+    stack = rng.standard_normal((5, dim))
+    targets = rng.standard_normal((5, dim))
+    stack[2] = targets[2]  # an identical row: psnr's inf flag
+    scalar = {
+        "l2": l2_distance,
+        "psnr": lambda a, b: -psnr(a, b),
+        "gradperc": lambda a, b: grad_perceptual_distance(a, b, shape),
+    }
+    for name, fn in scalar.items():
+        metric = get_metric(name, shape=shape)
+        np.testing.assert_array_equal(
+            metric.rows(stack, targets), [fn(a, b) for a, b in zip(stack, targets)])
+        np.testing.assert_array_equal(
+            metric.rows(stack, targets[0]), [fn(a, targets[0]) for a in stack])
+        with pytest.raises(ShapeMismatchError):
+            metric.rows(stack, targets[:, 1:])
+
+
 def test_get_metric_registry():
     assert get_metric("l2").name == "l2"
     a, b = np.array([0.0, 0.0]), np.array([1.0, 1.0])

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import identity_plan
 from odebc.errors import PlanMismatchError, ValidationError
 from odebc.schedule import (
     DiscreteSchedule,
-    identity_plan,
     make_linear_vp_schedule,
     resample_timesteps,
     uniform_continuous_plan,
