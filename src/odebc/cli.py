@@ -64,6 +64,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _count(text: str) -> int:
+    """argparse type for a flag that takes a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -279,7 +290,7 @@ def _cmd_independence(args) -> int:
         [f"cond_{j:03d}" for j in range(len(conds))],
         [[_fmt(v) for v in row] for row in mat],
     )
-    if args.render > 0:
+    if args.render:
         bcs = np.stack([cands.candidate(k) for k in range(args.render)])
         for j, (_, y) in enumerate(conds):
             for k, x0 in enumerate(project(model, solver, bcs, y)):
@@ -467,7 +478,7 @@ def _build_parser() -> _Parser:
             sub.add_argument("--bc", default=None,
                              help="fixed BC tensor file (optional)")
         elif name == "independence":
-            sub.add_argument("--render", type=int, default=0, metavar="N",
+            sub.add_argument("--render", type=_count, default=0, metavar="N",
                              help="render first N candidates per condition")
     return parser
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ShapeMismatchError, ValidationError
 from .rng import generator
@@ -127,6 +126,22 @@ def get_metric(name: str, shape: tuple[int, int, int] | None = None) -> Metric:
     raise ValidationError(f"unknown metric {name!r}")
 
 
+def _distance_matrix(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of x, (N, d) -> (N, N).
+
+    Squared gaps are summed one coordinate at a time in place, in the order
+    scipy's cdist sums them, so the result is the same to the bit; memory is
+    the N x N output plus one N x N temporary.
+    """
+    out = np.zeros((x.shape[0], x.shape[0]))
+    gap = np.empty_like(out)
+    for col in x.T:
+        np.subtract(col[:, None], col[None, :], out=gap)
+        np.multiply(gap, gap, out=gap)
+        out += gap
+    return np.sqrt(out, out=out)
+
+
 @dataclass(frozen=True)
 class EnergyTestResult:
     statistic: float
@@ -156,25 +171,23 @@ def energy_distance_test(
     if b.shape[0] > max_points:
         b = b[rng.choice(b.shape[0], size=max_points, replace=False)]
     n, m = a.shape[0], b.shape[0]
-    pooled = np.concatenate([a, b], axis=0)
-    dmat = cdist(pooled, pooled)
-    total = dmat.sum()
-
-    def stat(idx_a, idx_b):
-        # Diagonal is zero, so block sums over the pooled matrix suffice.
-        sum_a = dmat[np.ix_(idx_a, idx_a)].sum()
-        sum_b = dmat[np.ix_(idx_b, idx_b)].sum()
-        between = 0.5 * (total - sum_a - sum_b)
-        return (2.0 * between / (n * m)
-                - sum_a / (n * (n - 1)) - sum_b / (m * (m - 1)))
-
-    idx = np.arange(n + m)
-    observed = stat(idx[:n], idx[n:])
-    hits = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(n + m)
-        if stat(perm[:n], perm[n:]) >= observed:
-            hits += 1
+    dmat = _distance_matrix(np.concatenate([a, b], axis=0))
+    # Column 0 of labels marks the observed group a, column p the group a of
+    # the p-th permutation. For such an indicator z and the row sums r of D
+    # (whose diagonal is zero), group a sums z'Dz, the between-group block
+    # z'r - z'Dz and group b the rest, so one product scores every split.
+    labels = np.zeros((n + m, 1 + n_permutations))
+    labels[:n, 0] = 1.0
+    for p in range(1, 1 + n_permutations):
+        labels[rng.permutation(n + m)[:n], p] = 1.0
+    rows = dmat.sum(axis=1)
+    total = rows.sum()
+    sum_a = np.einsum("ip,ip->p", labels, dmat @ labels)
+    between = rows @ labels - sum_a
+    sum_b = total - 2.0 * between - sum_a
+    stats = (2.0 * between / (n * m)
+             - sum_a / (n * (n - 1)) - sum_b / (m * (m - 1)))
+    hits = int(np.count_nonzero(stats[1:] >= stats[0]))
     p = (1.0 + hits) / (1.0 + n_permutations)
-    return EnergyTestResult(statistic=float(observed), p_value=float(p),
+    return EnergyTestResult(statistic=float(stats[0]), p_value=float(p),
                             n_per_group=min(n, m))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -174,10 +173,12 @@ class Mixture:
     lam_par: np.ndarray
     pooling: BlockPooling
     # Derived for the score: each mean next to its block sums, [m_j, S m_j];
-    # the sizes (d, k) of the two parts of such an augmented vector; and the
-    # per-(alpha, sigma) coefficients of every time visited so far.
+    # the sizes (d, k) of the two parts of such an augmented vector; the
+    # variances as (J, 2) columns (perp, par); and the per-(alpha, sigma)
+    # coefficients of every time visited so far.
     _aug_means: np.ndarray = field(init=False, repr=False)
     _parts: tuple[int, int] = field(init=False, repr=False)
+    _lams: np.ndarray = field(init=False, repr=False)
     _by_time: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -185,6 +186,8 @@ class Mixture:
         object.__setattr__(self, "_aug_means",
                            np.concatenate([self.means, pool.sums(self.means)], axis=1))
         object.__setattr__(self, "_parts", (pool.dim, pool.obs_dim))
+        object.__setattr__(self, "_lams",
+                           np.stack([self.lam_perp, self.lam_par], axis=1))
         object.__setattr__(self, "_by_time", {})
 
     @property
@@ -227,12 +230,14 @@ def _coefficients(mix: Mixture, alpha: float, sigma: float):
     key = (alpha, sigma)
     coefs = mix._by_time.get(key)
     if coefs is None:
+        # Both columns at once: a continuous-time solver misses every step.
         d, k = mix._parts
-        perp = alpha * alpha * mix.lam_perp + sigma * sigma
-        par = alpha * alpha * mix.lam_par + sigma * sigma
-        gap = (1.0 / par - 1.0 / perp) / mix.pooling.size
-        base = mix.log_w - 0.5 * ((d - k) * np.log(perp) + k * np.log(par))
-        coefs = mix._by_time[key] = (np.stack([1.0 / perp, gap], axis=1), base[:, None])
+        var = alpha * alpha * mix._lams + sigma * sigma
+        logs = np.log(var)
+        base = mix.log_w - 0.5 * ((d - k) * logs[:, 0] + k * logs[:, 1])
+        scales = 1.0 / var
+        scales[:, 1] = (scales[:, 1] - scales[:, 0]) / mix.pooling.size
+        coefs = mix._by_time[key] = (scales, base[:, None])
     return coefs
 
 
@@ -326,9 +331,9 @@ def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
                    lam_par=s2 * world.tau**2 / g, pooling=pool)
 
 
-@lru_cache(maxsize=100_000)
 def _alpha_sigma(s: DiscreteSchedule, t: float) -> tuple[float, float]:
-    return float(s.alpha(t)), float(s.sigma(t))
+    alpha, sigma, _, _ = s.coeffs(t)  # one schedule lookup for both
+    return float(alpha), float(sigma)
 
 
 def _eps_from_mixture(mix: Mixture, x, t, s: DiscreteSchedule):

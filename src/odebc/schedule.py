@@ -42,17 +42,31 @@ class DiscreteSchedule:
             np.float64
         )
         self._log_alpha_bars = np.log(self.alpha_bars)
+        self._log_alpha_bar_list = self._log_alpha_bars.tolist()
 
     @property
     def total_steps(self) -> int:
         return self.betas.size
 
     def _interp_log_alpha_bar(self, t):
-        """Piecewise-linear value and slope of log(alpha_bar) at t in [0,1]."""
+        """Piecewise-linear value and slope of log(alpha_bar) at t in [0,1].
+
+        A float t takes a scalar path (solvers ask for one time per step)
+        that does the array path's float64 operations in the same order, so
+        both return the same bits.
+        """
+        n = self.total_steps - 1
+        if isinstance(t, float):
+            if not 0.0 <= t <= 1.0:
+                raise ValidationError("t must lie in [0, 1]")
+            u = t * n
+            k = min(math.floor(u), n - 1)
+            lo = self._log_alpha_bar_list[k]
+            seg = self._log_alpha_bar_list[k + 1] - lo
+            return lo + (u - k) * seg, seg * n
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 0.0) or np.any(t > 1.0):
             raise ValidationError("t must lie in [0, 1]")
-        n = self.total_steps - 1
         u = t * n
         k = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
         frac = u - k

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from odebc.errors import NonConvergenceError, ValidationError
+from odebc.metrics import EnergyTestResult
 from odebc.model import (
     GmmWorld,
     conditional_posterior,
@@ -213,3 +215,38 @@ def linear_denoiser(matrix: np.ndarray):
 def identity_plan(s: DiscreteSchedule) -> TimestepPlan:
     """The full discrete grid, T-1 down to 0."""
     return resample_timesteps(s, s.total_steps)
+
+
+def energy_test_oracle(a, b, n_permutations=300, seed=0, max_points=2000):
+    """The energy-distance permutation test one split at a time: cdist for
+    the pooled distances, np.ix_ block sums for each statistic, the same
+    seeded subsampling and permutation draws as `energy_distance_test`."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    rng = generator(seed, 0)
+    if a.shape[0] > max_points:
+        a = a[rng.choice(a.shape[0], size=max_points, replace=False)]
+    if b.shape[0] > max_points:
+        b = b[rng.choice(b.shape[0], size=max_points, replace=False)]
+    n, m = a.shape[0], b.shape[0]
+    pooled = np.concatenate([a, b], axis=0)
+    dmat = cdist(pooled, pooled)
+    total = dmat.sum()
+
+    def stat(idx_a, idx_b):
+        sum_a = dmat[np.ix_(idx_a, idx_a)].sum()
+        sum_b = dmat[np.ix_(idx_b, idx_b)].sum()
+        between = 0.5 * (total - sum_a - sum_b)
+        return (2.0 * between / (n * m)
+                - sum_a / (n * (n - 1)) - sum_b / (m * (m - 1)))
+
+    idx = np.arange(n + m)
+    observed = stat(idx[:n], idx[n:])
+    hits = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(n + m)
+        if stat(perm[:n], perm[n:]) >= observed:
+            hits += 1
+    return EnergyTestResult(statistic=float(observed),
+                            p_value=(1.0 + hits) / (1.0 + n_permutations),
+                            n_per_group=min(n, m))

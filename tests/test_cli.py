@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +214,35 @@ def test_render_requires_image_world(tmp_path):
                     "--set", "search.candidates=4",
                     "--render", "1"])
     assert code == 1
+
+
+def test_negative_render_rejected(tmp_path, capsys):
+    base = ["independence", *SMALL_WORLD, "--set", "run.conditions=2",
+            "--set", "search.candidates=3"]
+    for i, bad in enumerate(("-2", "x")):
+        out = tmp_path / f"bad{i}"
+        assert cli.run([*base, "--out", str(out), "--render", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --render: "), err
+        assert err.count("\n") == 1
+        assert not out.exists()
+    out = tmp_path / "zero"
+    assert cli.run([*base, "--out", str(out), "--render", "0"]) == 0
+    assert not list(out.glob("*.pgm"))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would cost every CLI
+    # process its start-up time and memory.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, odebc.cli; "
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_suite_passes(tmp_path):

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
+from helpers import energy_test_oracle
 from odebc.errors import ShapeMismatchError, ValidationError
 from odebc.metrics import (
+    _distance_matrix,
     energy_distance_test,
     get_metric,
     grad_perceptual_distance,
@@ -161,3 +164,29 @@ def test_energy_test_subsamples_deterministically():
     r2 = energy_distance_test(a, b, n_permutations=50, seed=9, max_points=600)
     assert r1 == r2
     assert r1.n_per_group == 600
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_distance_matrix_equals_cdist(dim):
+    x = 3.0 * generator(dim, 2).standard_normal((257, dim))
+    np.testing.assert_array_equal(_distance_matrix(x), cdist(x, x))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_energy_test_matches_per_permutation_oracle(dim):
+    # (n, m, shift, n_permutations, max_points): equal and unequal groups,
+    # both or one group subsampled, and the 0- and 1-permutation edges.
+    cases = [(60, 60, 0.0, 40, 2000), (45, 70, 0.3, 40, 2000),
+             (300, 250, 0.1, 20, 120), (300, 80, 0.0, 20, 120),
+             (30, 40, 0.0, 0, 2000), (30, 40, 0.2, 1, 2000)]
+    for i, (n, m, shift, perms, max_points) in enumerate(cases):
+        a = generator(20 + dim, i).standard_normal((n, dim))
+        b = generator(40 + dim, i).standard_normal((m, dim)) + shift
+        got = energy_distance_test(a, b, perms, seed=i, max_points=max_points)
+        want = energy_test_oracle(a, b, perms, seed=i, max_points=max_points)
+        assert got.p_value == want.p_value
+        assert got.n_per_group == want.n_per_group
+        # The statistic is a difference of mean distances and crosses zero,
+        # so its rounding is relative to the size of those means.
+        scale = cdist(a, b).mean()
+        assert abs(got.statistic - want.statistic) <= 1e-12 * scale

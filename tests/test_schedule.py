@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import identity_plan
 from odebc.errors import PlanMismatchError, ValidationError
+from odebc.rng import generator
 from odebc.schedule import (
     DiscreteSchedule,
     make_linear_vp_schedule,
@@ -71,6 +72,22 @@ def test_vp_identity_on_random_times():
     t = np.linspace(0.0, 1.0, 641)
     alpha, sigma, _, _ = s.coeffs(t)
     np.testing.assert_allclose(alpha**2 + sigma**2, 1.0, atol=1e-12)
+
+
+def test_scalar_lookup_matches_array_lookup_bit_for_bit():
+    s = default_schedule()
+    grid = np.arange(s.total_steps) / (s.total_steps - 1)
+    times = np.concatenate([grid, [0.0, 1.0], generator(12, 0).random(10_000)])
+    for name in ("alpha", "sigma", "lam", "coeffs"):
+        fn = getattr(s, name)
+        batch = np.array(fn(times), ndmin=2)
+        for i, t in enumerate(times.tolist()):
+            one = np.array(fn(t), ndmin=1)
+            assert np.array_equal(one, batch[:, i]), (name, t)
+    for bad in (-1e-12, 1.0 + 1e-12):
+        for name in ("alpha", "sigma", "lam", "coeffs"):
+            with pytest.raises(ValidationError):
+                getattr(s, name)(bad)
 
 
 def test_drift_matches_finite_difference():
