@@ -72,18 +72,38 @@ class SearchResult:
     per_candidate_sums: np.ndarray
 
 
-# Rows per projection task. A constant, never derived from the worker count
+# Rows per candidate chunk. A constant, never derived from the worker count
 # or from K, so a row's chunk and hence its bits never depend on either.
 CHUNK = 64
+# State elements per projection: references are stacked into one solve
+# until its (B n, d) state would pass this. eps cost per row rises beyond
+# it (and peak memory with it), so the few larger solves do not pay.
+STATE_BUDGET = 4096
+
+
+def _tasks(n_rows: int, n_refs: int, dim: int) -> list[tuple[int, range]]:
+    """(first row, reference block) per projection: chunks of up to CHUNK
+    rows, each paired with blocks of up to STATE_BUDGET // (rows * dim)
+    references (at least one)."""
+    tasks = []
+    for start in range(0, n_rows, CHUNK):
+        rows = min(CHUNK, n_rows - start)
+        width = max(1, STATE_BUDGET // (rows * dim))
+        tasks += [(start, range(first, min(first + width, n_refs)))
+                  for first in range(0, n_refs, width)]
+    return tasks
 
 
 def distance_table(stack, refs: ReferenceSet, solver: SolverConfig, model,
                    metric: Metric, workers: int = 1) -> np.ndarray:
     """n x R table of metric(project(stack[k], y_i), z_i).
 
-    Each (chunk of up to CHUNK rows, reference) task is one projection of
-    an (n, d) state and one row-wise metric call. Tasks write their cells
-    by index, so the table is bit-identical for any `workers`.
+    Each task stacks one chunk of up to CHUNK rows under a block of B
+    references: one projection of a (B rows, d) state with the (B, k)
+    stack of their observations as the condition, then one row-wise metric
+    call per reference. Tasks write their cells by index, and the blocks
+    depend only on (n, R, d), so the table is bit-identical for any
+    `workers`.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 2 or stack.shape[1:] != refs.pairs[0][0].shape:
@@ -93,14 +113,16 @@ def distance_table(stack, refs: ReferenceSet, solver: SolverConfig, model,
     table = np.empty((stack.shape[0], len(refs)))
 
     def task(cell):
-        start, i = cell
-        z, y = refs.pairs[i]
+        start, block = cell
         rows = stack[start:start + CHUNK]
-        table[start:start + CHUNK, i] = metric.rows(
-            project(model, solver, rows, y), z)
+        n = rows.shape[0]
+        ys = np.stack([refs.pairs[i][1] for i in block])
+        out = project(model, solver, np.tile(rows, (len(block), 1)), ys)
+        for g, i in enumerate(block):
+            table[start:start + n, i] = metric.rows(
+                out[g * n:(g + 1) * n], refs.pairs[i][0])
 
-    cells = [(start, i) for start in range(0, stack.shape[0], CHUNK)
-             for i in range(len(refs))]
+    cells = _tasks(stack.shape[0], len(refs), stack.shape[1])
     if workers <= 1:
         for cell in cells:
             task(cell)

@@ -11,7 +11,7 @@ import copy
 import json
 import os
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer, require_number
 from .metrics import Metric, get_metric
 from .model import GmmWorld
 from .sampler import SolverConfig, SolverKind
@@ -87,7 +87,7 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config {path} must be a JSON object")
@@ -123,6 +123,8 @@ def apply_set(config: dict, expr: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings are convenient on the command line
+    except RecursionError:
+        raise ValidationError(f"--set {dotted} value is nested too deeply") from None
     node = config
     for key in keys[:-1]:
         nxt = node.get(key)
@@ -154,38 +156,45 @@ def resolve_config(path=None, sets=(), workers=None, seed=None,
     return config
 
 
-# Sections whose keys are fixed by DEFAULTS (world specs are free-form).
-_CHECKED_SECTIONS = ("solver", "search", "metric", "run")
-_COUNT_KEYS = {
-    "search": ("candidates", "references", "n_random"),
-    "run": ("holdout", "pairs", "test_pairs", "repeats", "k_fixed", "conditions"),
-    "solver": ("steps", "total_steps"),
-}
+# The largest solver grid and plan, in steps.
+MAX_STEPS = 100_000
 
 
-def _check_keys(config: dict) -> None:
-    """Reject unknown keys, and counts or seeds that are not JSON integers."""
-    for section in _CHECKED_SECTIONS:
-        values = config[section]
-        if not isinstance(values, dict):
-            raise ValidationError(f"config section {section!r} must be an object")
-        unknown = sorted(set(values) - set(DEFAULTS[section]))
-        if unknown:
-            raise ValidationError(f"unknown {section} key(s) {unknown}")
-        for key in values:
-            if key in _COUNT_KEYS.get(section, ()):
-                _integer(values[key], f"{section}.{key}", minimum=0)
-            elif key.endswith("seed"):
-                _integer(values[key], f"{section}.{key}")
+def _count(value, source: str) -> None:
+    require_integer(value, source, minimum=0)
 
 
-def _integer(value, source: str, minimum: int | None = None) -> int:
-    """A JSON integer (not a bool) of at least `minimum`."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f"{source} must be an integer{bound}, got {value!r}")
+def _steps(value, source: str) -> None:
+    require_integer(value, source, minimum=0, maximum=MAX_STEPS)
+
+
+def _text(value, source: str) -> None:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{source} must be a non-empty string, got {value!r}")
+
+
+def _optional(check):
+    """`check`, or null for the command's default."""
+    def checked(value, source: str) -> None:
+        if value is not None:
+            check(value, source)
+    return checked
+
+
+def _nonempty_list(value, source: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"{source} must be a non-empty list, got {value!r}")
     return value
+
+
+def _sizes(value, source: str) -> None:
+    for i, size in enumerate(_nonempty_list(value, source)):
+        require_integer(size, f"{source}[{i}]", minimum=1)
+
+
+def _solver_entries(value, source: str) -> None:
+    for i, entry in enumerate(_nonempty_list(value, source)):
+        _check_section(entry, _SOLVER_KEYS, f"{source}[{i}]")
 
 
 def _worker_count(value, source: str) -> int:
@@ -195,7 +204,50 @@ def _worker_count(value, source: str) -> int:
             value = int(value)
         except ValueError:
             pass
-    return _integer(value, source, minimum=1)
+    return require_integer(value, source, minimum=1)
+
+
+# The check of every key of the sections whose keys DEFAULTS fixes (world
+# specs are checked by worldgen.world_from_spec).
+_SOLVER_KEYS = {
+    "kind": _text, "steps": _steps, "noise_seed": require_integer,
+    "total_steps": _steps, "beta_1": require_number, "beta_t": require_number,
+}
+_KEYS = {
+    "solver": _SOLVER_KEYS,
+    "search": {
+        "candidates": _count, "candidate_seed": require_integer,
+        "references": _count, "reference_seed": require_integer,
+        "n_random": _count,
+    },
+    "metric": {"name": _text},
+    "run": {
+        "seed": require_integer, "out": _text,
+        "workers": _optional(_worker_count), "pairs": _count,
+        "pairs_dir": _optional(_text), "test_pairs": _count,
+        "test_seed": require_integer, "holdout": _count,
+        "holdout_seed": require_integer,
+        "solvers": _optional(_solver_entries), "sizes": _optional(_sizes),
+        "repeats": _count, "k_fixed": _count, "conditions": _count,
+        "condition_seed": require_integer, "random_seed": require_integer,
+    },
+}
+
+
+def _check_section(values, checks: dict, name: str) -> None:
+    if not isinstance(values, dict):
+        raise ValidationError(f"{name} must be an object, got {values!r}")
+    unknown = sorted(set(values) - set(checks))
+    if unknown:
+        raise ValidationError(f"unknown {name} key(s) {unknown}")
+    for key, value in values.items():
+        checks[key](value, f"{name}.{key}")
+
+
+def _check_keys(config: dict) -> None:
+    """Reject unknown keys and values of the wrong type or range."""
+    for section, checks in _KEYS.items():
+        _check_section(config[section], checks, section)
 
 
 def build_world(config: dict) -> GmmWorld:

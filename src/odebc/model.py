@@ -9,15 +9,21 @@ variances per component instead of a d x d matrix, and P x is "block-sum,
 scale, copy back": a posterior costs O(J d) to build and eps O(J n d) for n
 rows. Both the prior and the conditional posterior stay Gaussian mixtures
 in closed form, so the exact score (and hence an exact eps-prediction
-"denoiser") is available at every noise level. Everything here is pure and
-immutable after construction (mixtures only cache values derived from
-their fields), which is what lets projections run on any number of workers.
+"denoiser") is available at every noise level. The posterior variances do
+not depend on the observation, so a (B, k) stack of observations gives one
+mixture with B groups of means and weights and shared variances; eps on it
+takes a (B n, d) state whose B consecutive row groups each see their own
+observation. Everything here is pure and immutable after construction
+(mixtures and denoisers only cache values derived from their fields),
+which is what lets projections run on any number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +94,12 @@ class BlockPooling:
         if self.block == 1:
             return x
         _, w, c = self.shape
-        bands = x.reshape(-1, self.block, w * c).sum(axis=1)
+        rows = x.reshape(-1, self.block, w * c)
+        # Slice adds in band order, as a strided .sum(axis=1) would add
+        # them, without its per-call reduction set-up.
+        bands = rows[:, 0] + rows[:, 1]
+        for i in range(2, self.block):
+            bands += rows[:, i]
         return (bands @ self._row).reshape(x.shape[:-1] + (-1,))
 
     def spread_add(self, base: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -164,7 +175,10 @@ class Mixture:
     """Gaussian mixture with covariances lam_perp[j] (I - P) + lam_par[j] P.
 
     P is the projector of `pooling`; for flat worlds P = I and lam_perp
-    plays no part. The prior is the case lam_perp == lam_par.
+    plays no part. The prior is the case lam_perp == lam_par. A stacked
+    mixture has a leading group axis on `log_w` (B, J) and `means`
+    (B, J, d): B mixtures that share the variances (J,), evaluated on B
+    consecutive row groups of one state.
     """
 
     log_w: np.ndarray
@@ -172,27 +186,40 @@ class Mixture:
     lam_perp: np.ndarray
     lam_par: np.ndarray
     pooling: BlockPooling
-    # Derived for the score: each mean next to its block sums, [m_j, S m_j];
-    # the sizes (d, k) of the two parts of such an augmented vector; the
-    # variances as (J, 2) columns (perp, par); and the per-(alpha, sigma)
-    # coefficients of every time visited so far.
+    # Derived for the score, with a length-1 axis for the state rows: each
+    # mean next to its block sums, [m_j, S m_j], and log w_j; the sizes
+    # (d, k) of the two parts of such an augmented vector; the variances as
+    # (J, 2) columns (perp, par), and their bytes, which key the per-time
+    # coefficients that all mixtures of a world share.
     _aug_means: np.ndarray = field(init=False, repr=False)
+    _log_w_rows: np.ndarray = field(init=False, repr=False)
     _parts: tuple[int, int] = field(init=False, repr=False)
     _lams: np.ndarray = field(init=False, repr=False)
-    _by_time: dict = field(init=False, repr=False)
+    _lam_key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         pool = self.pooling
-        object.__setattr__(self, "_aug_means",
-                           np.concatenate([self.means, pool.sums(self.means)], axis=1))
+        aug = np.concatenate([self.means, pool.sums(self.means)], axis=-1)
+        object.__setattr__(self, "_aug_means", aug[..., None, :])
+        object.__setattr__(self, "_log_w_rows", self.log_w[..., None])
         object.__setattr__(self, "_parts", (pool.dim, pool.obs_dim))
-        object.__setattr__(self, "_lams",
-                           np.stack([self.lam_perp, self.lam_par], axis=1))
-        object.__setattr__(self, "_by_time", {})
+        lams = np.stack([self.lam_perp, self.lam_par], axis=1)
+        object.__setattr__(self, "_lams", lams)
+        object.__setattr__(self, "_lam_key", lams.tobytes())
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
+
+    @cached_property
+    def _undiffused(self):
+        """The coefficients of the mixture itself, (alpha, sigma) = (1, 0)."""
+        return _coefficients(self, 1.0, 0.0)
+
+    @property
+    def groups(self) -> int | None:
+        """B for a stacked mixture, None for a plain one."""
+        return self.log_w.shape[0] if self.log_w.ndim == 2 else None
 
     def diffused(self, alpha: float, sigma: float) -> "Mixture":
         """Mixture of alpha-scaled components convolved with sigma^2 noise."""
@@ -214,79 +241,126 @@ def _as_batch(x: np.ndarray, dim: int):
     raise ShapeMismatchError(f"expected shape ({dim},) or (n, {dim}), got {x.shape}")
 
 
-def _logsumexp0(joint: np.ndarray) -> np.ndarray:
-    """log-sum-exp over axis 0; the max term keeps the log argument >= 1."""
-    peak = joint.max(axis=0)
-    return peak + np.log(np.exp(joint - peak).sum(axis=0))
+def _unstacked(mix: Mixture, operation: str) -> None:
+    if mix.groups is not None:
+        raise ShapeMismatchError(f"{operation} needs an unstacked mixture, "
+                                 f"got {mix.groups} groups")
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log-sum-exp over one axis, kept with length 1; the max term keeps
+    the log argument >= 1."""
+    peak = a.max(axis=axis, keepdims=True)
+    return peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))
 
 
 def _coefficients(mix: Mixture, alpha: float, sigma: float):
-    """((1/A_j, gap_j) as (J, 2), log w_j - log|C_j|/2 as (J, 1)) at one time.
+    """((1/A_j, gap_j) as (J, 2), log|C_j|/2 as (J, 1)) at one time.
 
     A_j, C_j are the diffused (perp, par) variances, with eigenspaces of
-    dimension d - k and k, and gap_j = (1/C_j - 1/A_j) / b^2. Cached on the
-    mixture: solvers revisit the same few times.
+    dimension d - k and k, and gap_j = (1/C_j - 1/A_j) / b^2. Neither
+    depends on the means or weights, so every posterior of a world shares
+    them; see _CoefficientCache.
     """
-    key = (alpha, sigma)
-    coefs = mix._by_time.get(key)
-    if coefs is None:
-        # Both columns at once: a continuous-time solver misses every step.
-        d, k = mix._parts
-        var = alpha * alpha * mix._lams + sigma * sigma
-        logs = np.log(var)
-        base = mix.log_w - 0.5 * ((d - k) * logs[:, 0] + k * logs[:, 1])
-        scales = 1.0 / var
-        scales[:, 1] = (scales[:, 1] - scales[:, 0]) / mix.pooling.size
-        coefs = mix._by_time[key] = (scales, base[:, None])
-    return coefs
+    # Both columns at once: a continuous-time plan needs this every step.
+    d, k = mix._parts
+    var = alpha * alpha * mix._lams + sigma * sigma
+    logs = np.log(var)
+    half_logdet = 0.5 * ((d - k) * logs[:, 0] + k * logs[:, 1])
+    scales = 1.0 / var
+    scales[:, 1] = (scales[:, 1] - scales[:, 0]) / mix.pooling.size
+    return scales, half_logdet[:, None]
 
 
-def _terms(mix: Mixture, x: np.ndarray, alpha: float, sigma: float):
+class _CoefficientCache:
+    """`_coefficients` memoised by (variances, alpha, sigma).
+
+    Solvers revisit the same few times, and the stacked and unstacked
+    posteriors of one world share their variances, so one cache per
+    denoiser serves them all. At most `size` entries are kept, and a full
+    cache starts over: a continuous-time plan visits a new time every step.
+    Mixtures passed in must share one pooling, as a world's all do.
+    """
+
+    def __init__(self):
+        self.size = 1024
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __call__(self, mix: Mixture, alpha: float, sigma: float):
+        key = (mix._lam_key, alpha, sigma)
+        coefs = self._entries.get(key)
+        if coefs is None:
+            coefs = _coefficients(mix, alpha, sigma)
+            with self._lock:
+                if len(self._entries) >= self.size:
+                    self._entries.clear()
+                self._entries[key] = coefs
+        return coefs
+
+
+def _terms(mix: Mixture, x: np.ndarray, alpha: float, coefs):
     """Per-component pieces of the (alpha, sigma)-diffused mixture at rows x.
 
-    With v_j = x - alpha m_j, |P v|^2 = |S v|^2 / b^2 gives the quadratic
-    form |v|^2 / A + gap |S v|^2. Both parts are computed at once on the
-    augmented difference [v_j, S v_j]. Returns (joint, that difference
-    scaled by (1/A, gap)); joint[j] is log w_j + log N_j(x) without the
-    -d/2 log(2 pi) that all components share.
+    x is (n, d), or (B, n, d) for a mixture of B groups. With
+    v_j = x - alpha m_j, |P v|^2 = |S v|^2 / b^2 gives the quadratic form
+    |v|^2 / A + gap |S v|^2. Both parts are computed at once on the
+    augmented difference [v_j, S v_j]. Returns (joint (..., J, n), that
+    difference scaled by (1/A, gap)); joint[j] is log w_j + log N_j(x)
+    without the -d/2 log(2 pi) that all components share.
     """
-    scales, base = _coefficients(mix, alpha, sigma)
-    augmented = np.concatenate([x, mix.pooling.sums(x)], axis=1)
-    diff = augmented - alpha * mix._aug_means[:, None, :]
+    scales, half_logdet = coefs
+    augmented = np.concatenate([x, mix.pooling.sums(x)], axis=-1)
+    diff = augmented[..., None, :, :] - alpha * mix._aug_means
     scaled = diff * np.repeat(scales, mix._parts, axis=1)[:, None, :]
-    joint = base - 0.5 * np.einsum("jnd,jnd->jn", scaled, diff)
+    base = mix._log_w_rows - half_logdet
+    joint = base - 0.5 * np.einsum("...jnd,...jnd->...jn", scaled, diff)
     return joint, scaled
 
 
-def _pull(mix: Mixture, x: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
+def _pull(mix: Mixture, x: np.ndarray, alpha: float, coefs) -> np.ndarray:
     """Minus the score of the diffused mixture: sum_j r_j C_j^-1 v_j.
 
-    C_j^-1 v = v / A + S^T (gap S v); r_j are the responsibilities.
+    C_j^-1 v = v / A + S^T (gap S v); r_j are the responsibilities. x is
+    (rows, d); a mixture of B groups splits the rows into B equal,
+    consecutive groups.
     """
-    joint, scaled = _terms(mix, x, alpha, sigma)
-    resp = np.exp(joint - joint.max(axis=0))
-    resp /= resp.sum(axis=0)
-    pulled = np.einsum("jn,jnd->nd", resp, scaled)
     d = mix.dim
-    return mix.pooling.spread_add(pulled[:, :d], pulled[:, d:])
+    groups = mix.groups
+    if groups is not None:
+        if x.shape[0] % groups:
+            raise ShapeMismatchError(
+                f"{x.shape[0]} state rows do not split into {groups} groups")
+        x = x.reshape(groups, -1, d)
+    joint, scaled = _terms(mix, x, alpha, coefs)
+    resp = np.exp(joint - joint.max(axis=-2, keepdims=True))
+    resp /= resp.sum(axis=-2, keepdims=True)
+    pulled = np.einsum("...jn,...jnd->...nd", resp, scaled)
+    out = mix.pooling.spread_add(pulled[..., :d], pulled[..., d:])
+    return out.reshape(-1, d)
 
 
 def mixture_log_density(mix: Mixture, x):
+    _unstacked(mix, "mixture_log_density")
     xb, single = _as_batch(x, mix.dim)
-    joint = _terms(mix, xb, 1.0, 0.0)[0]
-    out = _logsumexp0(joint) - 0.5 * mix.dim * math.log(2 * math.pi)
+    joint = _terms(mix, xb, 1.0, mix._undiffused)[0]
+    out = _logsumexp(joint, axis=0)[0] - 0.5 * mix.dim * math.log(2 * math.pi)
     return float(out[0]) if single else out
 
 
 def mixture_score(mix: Mixture, x):
     """Gradient of log density, sum_j r_j C_j^-1 (m_j - x)."""
     xb, single = _as_batch(x, mix.dim)
-    out = -_pull(mix, xb, 1.0, 0.0)
+    out = -_pull(mix, xb, 1.0, mix._undiffused)
     return out[0] if single else out
 
 
 def mixture_sample(mix: Mixture, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact draws: component by weight, then m + sd_perp g + (sd_par - sd_perp) P g."""
+    _unstacked(mix, "mixture_sample")
     comps = rng.choice(mix.log_w.size, size=n, p=np.exp(mix.log_w))
     gauss = rng.standard_normal((n, mix.dim))
     sd_perp = np.sqrt(mix.lam_perp)[comps, None]
@@ -311,22 +385,25 @@ def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
       m_j = mu_j + s_j^2 / (n g_j) S^T (y - D mu_j),
       C_j = s_j^2 (I - P) + s_j^2 tau^2 / g_j P,
     and component weights are reweighted by the evidence N(y; D mu_j, g_j I).
+    C_j does not depend on y: a (B, k) stack of observations gives one
+    stacked mixture with B groups of means and weights.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (world.obs_dim,):
+    if y.ndim not in (1, 2) or y.shape[-1] != world.obs_dim:
         raise ShapeMismatchError(
-            f"y must have shape ({world.obs_dim},), got {y.shape}"
-        )
+            f"y must have shape ({world.obs_dim},) or (B, {world.obs_dim}), "
+            f"got {y.shape}")
     pool = world.pooling
     n = pool.size
     s2 = world.stds**2
     g = s2 / n + world.tau**2
-    resid = y - pool.sums(world.means) / n
-    means = pool.spread_add(world.means, resid * (s2 / (n * g))[:, None])
+    resid = y[..., None, :] - pool.sums(world.means) / n
+    prior_means = np.broadcast_to(world.means, resid.shape[:-1] + (world.dim,))
+    means = pool.spread_add(prior_means, resid * (s2 / (n * g))[:, None])
     # The evidence's -k/2 log(2 pi) is shared by all components and cancels.
     log_w = np.log(world.weights) - 0.5 * (
-        pool.obs_dim * np.log(g) + np.einsum("jk,jk->j", resid, resid) / g)
-    log_w = log_w - _logsumexp0(log_w)
+        pool.obs_dim * np.log(g) + np.einsum("...jk,...jk->...j", resid, resid) / g)
+    log_w = log_w - _logsumexp(log_w, axis=-1)
     return Mixture(log_w=log_w, means=means, lam_perp=s2,
                    lam_par=s2 * world.tau**2 / g, pooling=pool)
 
@@ -336,13 +413,14 @@ def _alpha_sigma(s: DiscreteSchedule, t: float) -> tuple[float, float]:
     return float(alpha), float(sigma)
 
 
-def _eps_from_mixture(mix: Mixture, x, t, s: DiscreteSchedule):
+def _eps_from_mixture(mix: Mixture, x, t, s: DiscreteSchedule,
+                      coefficients=_coefficients):
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValidationError("t must lie in [0, 1]")
     alpha, sigma = _alpha_sigma(s, t)
     xb, single = _as_batch(x, mix.dim)
-    out = sigma * _pull(mix, xb, alpha, sigma)
+    out = sigma * _pull(mix, xb, alpha, coefficients(mix, alpha, sigma))
     return out[0] if single else out
 
 
@@ -359,8 +437,10 @@ def eps_unconditional(world: GmmWorld, x_t, t, s: DiscreteSchedule):
 class AnalyticDenoiser:
     """eps(x_t, condition, t) backed by the exact world score.
 
-    Pure given (world, schedule): the per-condition posterior is cached by
-    value, so repeated calls from any thread return identical results.
+    A condition is BLANK, one observation (k,), or a (B, k) stack of them
+    for a (B n, d) state. Pure given (world, schedule): posteriors are
+    cached by condition value and per-time coefficients by variances, so
+    repeated calls from any thread return identical results.
     """
 
     def __init__(self, world: GmmWorld, s: DiscreteSchedule):
@@ -368,11 +448,14 @@ class AnalyticDenoiser:
         self.schedule = s
         self._prior = prior_mixture(world)
         self._posteriors: dict[bytes, Mixture] = {}
+        self._coefficients = _CoefficientCache()
 
     def _mixture(self, condition) -> Mixture:
         if condition is BLANK:
             return self._prior
         y = np.ascontiguousarray(np.asarray(condition, dtype=np.float64))
+        # (k,) and (1, k) share an entry: one group gives the same bits
+        # with or without the group axis.
         key = y.tobytes()
         mix = self._posteriors.get(key)
         if mix is None:
@@ -381,7 +464,8 @@ class AnalyticDenoiser:
         return mix
 
     def eps(self, x_t, condition, t):
-        return _eps_from_mixture(self._mixture(condition), x_t, t, self.schedule)
+        return _eps_from_mixture(self._mixture(condition), x_t, t,
+                                 self.schedule, self._coefficients)
 
 
 class _ZeroDenoiser:

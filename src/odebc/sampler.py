@@ -2,7 +2,12 @@
 
 All solvers share one calling convention: the state is a flat vector (or a
 batch of them), the model provides eps(x, cond, t) on normalized time, and
-the timestep plan runs from the noise boundary down to zero. The three
+the timestep plan runs from the noise boundary down to zero. A condition
+may be a (B, k) stack of observations: the (B n, d) state then splits into
+B equal, consecutive row groups, each conditioned on its own observation,
+and one solve carries all of them (the state stays 2-D). DDPM draws one
+noise tensor for the whole state, so its stacked rows are not the rows of
+B separate runs; the deterministic solvers' are, to the bit. The three
 deterministic solvers are pure functions of their inputs; DDPM derives its
 noise from (seed, transition index) with a counter-based generator, so its
 output never depends on evaluation order either.

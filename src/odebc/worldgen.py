@@ -11,35 +11,58 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer, require_number
 from .model import GmmWorld
 from .rng import generator
 from .tensorio import read_tensor, write_tensor
 
 
-def texture_mean(spec, shape: tuple[int, int, int] | None, dim: int) -> np.ndarray:
+# The largest world, in elements per state: a 256 x 256 single-channel image.
+MAX_DIM = 1 << 16
+
+
+def _keys(spec: dict, allowed: tuple, source: str) -> None:
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown {source} key(s) {unknown}")
+
+
+def _literal(values, source: str) -> list[float]:
+    """The finite numbers of a (nested) JSON list, in row-major order."""
+    if isinstance(values, (list, tuple)):
+        return [v for part in values for v in _literal(part, source)]
+    return [require_number(values, source)]
+
+
+def texture_mean(spec, shape: tuple[int, int, int] | None, dim: int,
+                 source: str = "mean") -> np.ndarray:
     """A component mean: literal values or a named generator.
 
     Named kinds: constant, gradient (diagonal ramp), checker (alternating
     +/- amplitude), smooth-noise (seeded Gaussian field, two smoothing
     passes, rescaled to the amplitude).
     """
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        arr = np.asarray(spec, dtype=np.float64).ravel()
+    if isinstance(spec, (list, tuple)):
+        arr = np.array(_literal(spec, source), dtype=np.float64)
         if arr.size != dim:
             raise ValidationError(f"literal mean has {arr.size} values, want {dim}")
         return arr
     if isinstance(spec, dict) and "sum" in spec:
+        _keys(spec, ("sum",), source)
         parts = spec["sum"]
-        if not parts:
-            raise ValidationError("texture sum needs at least one term")
-        return sum(texture_mean(p, shape, dim) for p in parts)
+        if not isinstance(parts, list) or not parts:
+            raise ValidationError("texture sum needs a non-empty list of terms")
+        return sum(texture_mean(p, shape, dim, f"{source}.sum[{i}]")
+                   for i, p in enumerate(parts))
     if not isinstance(spec, dict) or "texture" not in spec:
         raise ValidationError("mean must be a value list or a texture object")
+    _keys(spec, ("texture", "amplitude", "seed"), source)
     kind = spec["texture"]
-    amp = float(spec.get("amplitude", 1.0))
+    amp = require_number(spec.get("amplitude", 1.0), f"{source}.amplitude")
     if kind == "constant":
         return np.full(dim, amp)
+    if kind not in ("gradient", "checker", "smooth-noise"):
+        raise ValidationError(f"unknown texture kind {kind!r}")
     if shape is None:
         raise ValidationError(f"texture {kind!r} needs an image-shaped world")
     h, w, c = shape
@@ -50,8 +73,9 @@ def texture_mean(spec, shape: tuple[int, int, int] | None, dim: int) -> np.ndarr
     elif kind == "checker":
         field = np.where((ii + jj) % 2 == 0, amp, -amp)
         field = np.repeat(field[:, :, None], c, axis=2)
-    elif kind == "smooth-noise":
-        rng = generator(int(spec.get("seed", 0)), 0)
+    else:
+        seed = require_integer(spec.get("seed", 0), f"{source}.seed")
+        rng = generator(seed, 0)
         field = rng.standard_normal((h, w, c))
         kernel = np.array([0.25, 0.5, 0.25])
         for _ in range(2):
@@ -64,30 +88,55 @@ def texture_mean(spec, shape: tuple[int, int, int] | None, dim: int) -> np.ndarr
                     for off, k in enumerate(kernel)
                 )
         field *= amp / max(field.std(), 1e-12)
-    else:
-        raise ValidationError(f"unknown texture kind {kind!r}")
     return field.ravel()
 
 
+def _world_shape(spec: dict):
+    """(shape or None, dim) of a world spec; null shape means flat."""
+    shape = spec.get("shape")
+    if shape is None:
+        if spec.get("dim") is None:
+            raise ValidationError("world spec needs shape or a positive dim")
+        return None, require_integer(spec["dim"], "world.dim", minimum=1,
+                                     maximum=MAX_DIM)
+    if not isinstance(shape, list) or len(shape) != 3:
+        raise ValidationError(
+            f"world shape must be [height, width, channels], got {shape!r}")
+    shape = tuple(require_integer(n, f"world.shape[{i}]", minimum=1,
+                                  maximum=MAX_DIM) for i, n in enumerate(shape))
+    dim = shape[0] * shape[1] * shape[2]
+    if dim > MAX_DIM:
+        raise ValidationError(f"world shape {list(shape)} has more than "
+                              f"{MAX_DIM} elements")
+    if spec.get("dim") not in (None, dim):
+        raise ValidationError(f"world.dim {spec['dim']!r} != shape product {dim}")
+    return shape, dim
+
+
 def world_from_spec(spec: dict) -> GmmWorld:
-    if "components" not in spec:
-        raise ValidationError("world spec needs a components list")
-    shape = tuple(spec["shape"]) if spec.get("shape") else None
-    if shape is not None and len(shape) != 3:
-        raise ValidationError("world shape must be [height, width, channels]")
-    dim = int(np.prod(shape)) if shape else int(spec.get("dim", 0))
-    if dim <= 0:
-        raise ValidationError("world spec needs shape or a positive dim")
-    comps = spec["components"]
-    weights = np.array([float(c["weight"]) for c in comps])
-    stds = np.array([float(c["std"]) for c in comps])
-    means = np.stack([texture_mean(c["mean"], shape, dim) for c in comps])
+    if not isinstance(spec, dict):
+        raise ValidationError(f"world must be an object, got {spec!r}")
+    _keys(spec, ("shape", "dim", "block", "tau", "components"), "world")
+    comps = spec.get("components")
+    if not isinstance(comps, list) or not comps:
+        raise ValidationError("world spec needs a non-empty components list")
+    shape, dim = _world_shape(spec)
+    weights, stds, means = [], [], []
+    for i, comp in enumerate(comps):
+        source = f"world.components[{i}]"
+        if not isinstance(comp, dict) or not {"weight", "std", "mean"} <= set(comp):
+            raise ValidationError(f"{source} must be an object with weight, "
+                                  f"std and mean, got {comp!r}")
+        _keys(comp, ("weight", "std", "mean"), source)
+        weights.append(require_number(comp["weight"], f"{source}.weight"))
+        stds.append(require_number(comp["std"], f"{source}.std"))
+        means.append(texture_mean(comp["mean"], shape, dim, f"{source}.mean"))
     return GmmWorld(
-        weights=weights,
-        means=means,
-        stds=stds,
-        tau=float(spec.get("tau", 0.05)),
-        block=int(spec.get("block", 1)),
+        weights=np.array(weights),
+        means=np.stack(means),
+        stds=np.array(stds),
+        tau=require_number(spec.get("tau", 0.05), "world.tau"),
+        block=require_integer(spec.get("block", 1), "world.block", minimum=1),
         shape=shape,
     )
 

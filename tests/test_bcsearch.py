@@ -1,6 +1,7 @@
 """Objective evaluation, Monte Carlo argmin, and the transfer report."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from scipy.stats import spearmanr
 from helpers import flat_world, image_world
 from odebc.bcsearch import (
     CHUNK,
+    STATE_BUDGET,
     CandidateSet,
     ReferenceSet,
     held_out_gain,
     objective,
     objective_table,
     search_optimal_bc,
+    _tasks,
 )
+from odebc.config import build_world, default_config
 from odebc.errors import ShapeMismatchError, ValidationError
 from odebc.metrics import get_metric
 from odebc.model import (
@@ -43,16 +47,19 @@ def dpm2_cfg(n):
 
 
 class CountingDenoiser:
-    """Counts eps calls and rows of the wrapped denoiser."""
+    """Counts eps calls and the rows of the 2-D states they see; a stacked
+    (B, k) condition shares one call over its B row groups."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
         self.rows = 0
+        self.largest = 0  # state elements of the largest call
 
     def eps(self, x_t, condition, t):
         self.calls += 1
         self.rows += np.atleast_2d(x_t).shape[0]
+        self.largest = max(self.largest, np.size(x_t))
         return self.inner.eps(x_t, condition, t)
 
 
@@ -217,9 +224,51 @@ def test_table_makes_one_eps_call_per_chunk_reference_and_step():
     refs = ReferenceSet(tuple(sample_pairs(world, 2, seed=46)))
     cands = CandidateSet(seed=13, size=CHUNK + 3, dim=world.dim)
     objective_table(cands, refs, ddim_cfg(10), den, L2)
-    # 2 chunks x 2 references x 9 ddim transitions
-    assert den.calls == 2 * 2 * 9
+    # 2 chunks x 1 block (both references fit the state budget) x 9 ddim
+    # transitions
+    assert den.calls == 2 * 1 * 9
     assert den.rows == (CHUNK + 3) * 2 * 9
+
+
+def test_tasks_partition_the_table_within_the_state_budget():
+    # 8x8 world, d = 64: the 64-row chunk takes one reference per solve,
+    # the 3-row rest all five at once.
+    world = build_world(default_config())
+    den = CountingDenoiser(AnalyticDenoiser(world, SCHED))
+    refs = ReferenceSet(tuple(sample_pairs(world, 5, seed=47)))
+    cands = CandidateSet(seed=14, size=CHUNK + 3, dim=world.dim)
+    tasks = _tasks(cands.size, len(refs), world.dim)
+    assert [(start, len(block)) for start, block in tasks] == \
+        [(0, 1)] * 5 + [(CHUNK, 5)]
+    cells = sorted((start + r, i) for start, block in tasks
+                   for r in range(min(CHUNK, cands.size - start)) for i in block)
+    assert cells == [(k, i) for k in range(cands.size) for i in range(len(refs))]
+    table = objective_table(cands, refs, ddim_cfg(10), den, L2, workers=1)
+    assert den.calls == len(tasks) * 9
+    assert den.largest <= STATE_BUDGET
+    threaded = objective_table(cands, refs, ddim_cfg(10), den, L2, workers=4)
+    assert threaded.tobytes() == table.tobytes()
+    # A reference wider than the budget still gets a solve of its own.
+    assert _tasks(8, 3, 1024) == [(0, range(0, 1)), (0, range(1, 2)),
+                                  (0, range(2, 3))]
+
+
+def test_shared_coefficient_cache_under_thread_stress():
+    # 8 threads on a cache of 3 entries: every task evicts while others
+    # read. The bits must not change and the cap must hold.
+    world, den, refs = small_setup(n_pairs=5)
+    den._coefficients.size = 3
+    cands = CandidateSet(seed=15, size=3 * CHUNK, dim=world.dim)
+    serial = objective_table(cands, refs, ddim_cfg(10),
+                             AnalyticDenoiser(world, SCHED), L2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = objective_table(cands, refs, ddim_cfg(10), den, L2, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.tobytes() == serial.tobytes()
+    assert len(den._coefficients) <= 3
 
 
 def test_objective_ranking_tracks_posterior_density():

@@ -308,3 +308,33 @@ def test_unknown_keys_and_fractional_counts_rejected(tmp_path, capsys):
     assert "unknown metric key(s) ['nmae']" in capsys.readouterr().err
     assert cli.run([*base, "--set", "search.candidates=2",
                     "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("command,expr,message", [
+    ("search", "world.components=[]", "world spec needs a non-empty components"),
+    ("search", 'world.components=[{"weight":1}]', "world.components[0] must be"),
+    ("search", "world.tau=x", "world.tau must be a finite number"),
+    ("search", "world.tau=true", "world.tau must be a finite number"),
+    ("search", "world.tau=NaN", "world.tau must be a finite number"),
+    ("search", "world.shape=abc", "world shape must be [height, width, channels]"),
+    ("search", "world.shape=[4,4,1.5]", "world.shape[2] must be an integer"),
+    ("search", "world.tua=0.1", "unknown world key(s) ['tua']"),
+    ("search", "solver.beta_1=abc", "solver.beta_1 must be a finite number"),
+    ("search", "solver.kind=[1]", "solver.kind must be a non-empty string"),
+    ("search", "solver.total_steps=1000000000", "solver.total_steps must be an integer"),
+    ("search", "run.pairs_dir=5", "run.pairs_dir must be a non-empty string"),
+    ("search", 'run.pairs_dir=""', "run.pairs_dir must be a non-empty string"),
+    ("search", "world.components=" + "[" * 100000,
+     "--set world.components value is nested too deeply"),
+    ("benchmark", "run.solvers=5", "run.solvers must be a non-empty list"),
+    ("benchmark", 'run.solvers=[{"kind":"ddim","stpes":3}]',
+     "unknown run.solvers[0] key(s) ['stpes']"),
+    ("ablate-k", 'run.sizes=["a"]', "run.sizes[0] must be an integer >= 1"),
+    ("ablate-k", "run.sizes=5", "run.sizes must be a non-empty list"),
+])
+def test_bad_config_values_rejected(tmp_path, capsys, command, expr, message):
+    code = cli.run([command, "--out", str(tmp_path), "--set", expr])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {message}"), err
+    assert err.count("\n") == 1

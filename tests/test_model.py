@@ -19,7 +19,7 @@ from helpers import (
     log_density_x0_given_y,
     mode_oracle,
 )
-from odebc.config import build_world, default_config
+from odebc.config import build_solver, build_world, default_config
 from odebc.errors import ShapeMismatchError, ValidationError
 from odebc.model import (
     BLANK,
@@ -34,10 +34,12 @@ from odebc.model import (
     mixture_score,
     prior_mixture,
     zero_denoiser,
+    _eps_from_mixture,
 )
 from odebc.rng import generator
+from odebc.sampler import project
 from odebc.schedule import make_linear_vp_schedule
-from odebc.worldgen import sample_pair
+from odebc.worldgen import sample_pair, sample_pairs
 
 
 def single_block_world(tau=0.1, s=1.0):
@@ -354,3 +356,84 @@ def test_batched_and_single_agree():
         np.testing.assert_allclose(
             eps_conditional(world, x[i], y, 0.7, s), batched[i], rtol=1e-12
         )
+
+
+@pytest.mark.parametrize("shape,block", [((8, 8, 1), 2), ((6, 6, 3), 3),
+                                         ((32, 32, 1), 2), ((12, 12, 2), 4),
+                                         ((9, 9, 1), 3)])
+def test_block_sums_equal_strided_sum_bit_for_bit(shape, block):
+    pool = BlockPooling(shape, block)
+    x = generator(5, 0).standard_normal((4, pool.dim))
+    _, w, c = shape
+    strided = x.reshape(-1, block, w * c).sum(axis=1) @ pool._row
+    np.testing.assert_array_equal(pool.sums(x), strided.reshape(4, -1))
+
+
+@pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
+def test_stacked_posterior_equals_unstacked_loop(world_name):
+    # B observations in one mixture: each group's means, weights and eps on
+    # its own row group are the bits of the one-observation mixture.
+    world = ORACLE_WORLDS[world_name]()
+    s = make_linear_vp_schedule(1000, 1e-4, 0.02)
+    ys = np.stack([y for _, y in sample_pairs(world, 3, seed=8)])
+    stacked = conditional_posterior(world, ys)
+    assert stacked.groups == 3
+    assert stacked.means.shape == (3, world.n_components, world.dim)
+    x = generator(6, 0).standard_normal((3 * 4, world.dim))
+    den = AnalyticDenoiser(world, s)
+    for g, y in enumerate(ys):
+        one = conditional_posterior(world, y)
+        assert one.groups is None
+        np.testing.assert_array_equal(stacked.means[g], one.means)
+        np.testing.assert_array_equal(stacked.log_w[g], one.log_w)
+        np.testing.assert_array_equal(stacked.lam_par, one.lam_par)
+    for t in (0.02, 0.5, 0.97):
+        eps = den.eps(x, ys, t)
+        assert eps.shape == x.shape
+        for g, y in enumerate(ys):
+            rows = slice(4 * g, 4 * g + 4)
+            np.testing.assert_array_equal(eps[rows], den.eps(x[rows], y, t))
+    with pytest.raises(ShapeMismatchError):
+        den.eps(x[:10], ys, 0.5)  # 10 rows do not split into 3 groups
+    with pytest.raises(ShapeMismatchError):
+        conditional_posterior(world, ys[None])
+
+
+def test_stacked_mixture_rejected_where_groups_have_no_meaning():
+    world = flat_world()
+    ys = np.stack([y for _, y in sample_pairs(world, 2, seed=9)])
+    stacked = conditional_posterior(world, ys)
+    with pytest.raises(ShapeMismatchError):
+        mixture_sample(stacked, 4, generator(1, 0))
+    with pytest.raises(ShapeMismatchError):
+        mixture_log_density(stacked, np.zeros((2, world.dim)))
+
+
+def test_coefficient_cache_is_bounded_shared_and_exact():
+    world = flat_world()
+    s = make_linear_vp_schedule(1000, 1e-4, 0.02)
+    pairs = sample_pairs(world, 3, seed=10)
+    x_t = generator(7, 0).standard_normal(world.dim)
+    euler = build_solver({"kind": "euler", "steps": 10000}, s)
+
+    class Uncached:
+        posterior = conditional_posterior(world, pairs[0][1])
+
+        def eps(self, x, condition, t):
+            return _eps_from_mixture(self.posterior, x, t, s)
+
+    den = AnalyticDenoiser(world, s)
+    cache = den._coefficients
+    out = project(den, euler, x_t, pairs[0][1])
+    # 10000 distinct times, but never more than `size` entries kept
+    assert cache.size == 1024 and 0 < len(cache) <= cache.size
+    np.testing.assert_array_equal(out, project(Uncached(), euler, x_t, pairs[0][1]))
+    # Stacked and unstacked posteriors share their variances, hence entries.
+    den = AnalyticDenoiser(world, s)
+    ddim = build_solver({"kind": "ddim", "steps": 10}, s)
+    ys = np.stack([y for _, y in pairs])
+    project(den, ddim, np.tile(x_t, (3, 1)), ys)
+    for _, y in pairs:
+        project(den, ddim, x_t, y)
+    assert len(den._posteriors) == 4
+    assert len(den._coefficients) == 9  # one entry per ddim-10 time
