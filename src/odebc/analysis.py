@@ -174,6 +174,9 @@ def independence_matrix(world: GmmWorld, conditions, candidates: CandidateSet,
                         workers: int = 1) -> np.ndarray:
     """Pearson matrix of the per-condition distance sequences over one
     shared candidate set; entry (j, l) compares conditions j and l."""
+    if len(conditions) < 2:
+        raise ValidationError("independence needs at least 2 conditions, "
+                              f"got {len(conditions)}")
     refs = ReferenceSet(tuple(conditions), "independence")
     model = AnalyticDenoiser(world, solver.schedule)
     table = objective_table(candidates, refs, solver, model, metric, workers)

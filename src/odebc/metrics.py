@@ -94,7 +94,8 @@ def pearson_corr(u, v) -> float:
     denom = math.sqrt(float(du @ du) * float(dv @ dv))
     if denom == 0.0:
         raise ValidationError("pearson_corr undefined for constant sequences")
-    return float(du @ dv) / denom
+    # Rounding can carry |rho| just past 1.
+    return min(1.0, max(-1.0, float(du @ dv) / denom))
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,16 @@ in closed form, so the exact score (and hence an exact eps-prediction
 not depend on the observation, so a (B, k) stack of observations gives one
 mixture with B groups of means and weights and shared variances; eps on it
 takes a (B n, d) state whose B consecutive row groups each see their own
-observation. Everything here is pure and immutable after construction
-(mixtures and denoisers only cache values derived from their fields),
-which is what lets projections run on any number of workers.
+observation. When P = I (block 1) the quadratic form has one part. A
+solve looks up its whole time grid once, through `prepare`, and owns that
+table; denoisers cache only posteriors. Everything here is pure and
+immutable after construction, which is what lets projections run on any
+number of workers.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -187,25 +188,24 @@ class Mixture:
     lam_par: np.ndarray
     pooling: BlockPooling
     # Derived for the score, with a length-1 axis for the state rows: each
-    # mean next to its block sums, [m_j, S m_j], and log w_j; the sizes
-    # (d, k) of the two parts of such an augmented vector; the variances as
-    # (J, 2) columns (perp, par), and their bytes, which key the per-time
-    # coefficients that all mixtures of a world share.
+    # mean next to its block sums, [m_j, S m_j] (m_j alone when P = I), and
+    # log w_j; the sizes (d, k) of the two parts of such an augmented
+    # vector, and the variances as (J, 2) columns (perp, par).
     _aug_means: np.ndarray = field(init=False, repr=False)
     _log_w_rows: np.ndarray = field(init=False, repr=False)
     _parts: tuple[int, int] = field(init=False, repr=False)
     _lams: np.ndarray = field(init=False, repr=False)
-    _lam_key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         pool = self.pooling
-        aug = np.concatenate([self.means, pool.sums(self.means)], axis=-1)
+        aug = self.means
+        if pool.block > 1:
+            aug = np.concatenate([aug, pool.sums(aug)], axis=-1)
         object.__setattr__(self, "_aug_means", aug[..., None, :])
         object.__setattr__(self, "_log_w_rows", self.log_w[..., None])
         object.__setattr__(self, "_parts", (pool.dim, pool.obs_dim))
-        lams = np.stack([self.lam_perp, self.lam_par], axis=1)
-        object.__setattr__(self, "_lams", lams)
-        object.__setattr__(self, "_lam_key", lams.tobytes())
+        object.__setattr__(self, "_lams",
+                           np.stack([self.lam_perp, self.lam_par], axis=1))
 
     @property
     def dim(self) -> int:
@@ -214,7 +214,8 @@ class Mixture:
     @cached_property
     def _undiffused(self):
         """The coefficients of the mixture itself, (alpha, sigma) = (1, 0)."""
-        return _coefficients(self, 1.0, 0.0)
+        scales, half_logdet = _coefficients(self, np.ones(1), np.zeros(1))
+        return scales[0], half_logdet[0]
 
     @property
     def groups(self) -> int | None:
@@ -254,74 +255,50 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))
 
 
-def _coefficients(mix: Mixture, alpha: float, sigma: float):
-    """((1/A_j, gap_j) as (J, 2), log|C_j|/2 as (J, 1)) at one time.
+def _coefficients(mix: Mixture, alpha: np.ndarray, sigma: np.ndarray):
+    """(scales (n, J, 2), log|C_j|/2 (n, J, 1)) at the n times (alpha, sigma).
 
     A_j, C_j are the diffused (perp, par) variances, with eigenspaces of
-    dimension d - k and k, and gap_j = (1/C_j - 1/A_j) / b^2. Neither
-    depends on the means or weights, so every posterior of a world shares
-    them; see _CoefficientCache.
+    dimension d - k and k. The scales are (1/A_j, gap_j), with
+    gap_j = (1/C_j - 1/A_j) / b^2; when P = I the second is 1/C_j itself,
+    the scale of the one part. Neither depends on the means or weights.
     """
-    # Both columns at once: a continuous-time plan needs this every step.
     d, k = mix._parts
-    var = alpha * alpha * mix._lams + sigma * sigma
+    var = np.multiply.outer(alpha * alpha, mix._lams) \
+        + (sigma * sigma)[:, None, None]
     logs = np.log(var)
-    half_logdet = 0.5 * ((d - k) * logs[:, 0] + k * logs[:, 1])
+    half_logdet = 0.5 * ((d - k) * logs[..., 0] + k * logs[..., 1])
     scales = 1.0 / var
-    scales[:, 1] = (scales[:, 1] - scales[:, 0]) / mix.pooling.size
-    return scales, half_logdet[:, None]
+    if mix.pooling.block > 1:
+        scales[..., 1] = (scales[..., 1] - scales[..., 0]) / mix.pooling.size
+    return scales, half_logdet[..., None]
 
 
-class _CoefficientCache:
-    """`_coefficients` memoised by (variances, alpha, sigma).
-
-    Solvers revisit the same few times, and the stacked and unstacked
-    posteriors of one world share their variances, so one cache per
-    denoiser serves them all. At most `size` entries are kept, and a full
-    cache starts over: a continuous-time plan visits a new time every step.
-    Mixtures passed in must share one pooling, as a world's all do.
-    """
-
-    def __init__(self):
-        self.size = 1024
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __call__(self, mix: Mixture, alpha: float, sigma: float):
-        key = (mix._lam_key, alpha, sigma)
-        coefs = self._entries.get(key)
-        if coefs is None:
-            coefs = _coefficients(mix, alpha, sigma)
-            with self._lock:
-                if len(self._entries) >= self.size:
-                    self._entries.clear()
-                self._entries[key] = coefs
-        return coefs
-
-
-def _terms(mix: Mixture, x: np.ndarray, alpha: float, coefs):
+def _terms(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
     """Per-component pieces of the (alpha, sigma)-diffused mixture at rows x.
 
-    x is (n, d), or (B, n, d) for a mixture of B groups. With
+    x is (n, d), or (B, n, d) for a mixture of B groups; `scales` and
+    `half_logdet` are one time's rows of `_coefficients`. With
     v_j = x - alpha m_j, |P v|^2 = |S v|^2 / b^2 gives the quadratic form
     |v|^2 / A + gap |S v|^2. Both parts are computed at once on the
-    augmented difference [v_j, S v_j]. Returns (joint (..., J, n), that
-    difference scaled by (1/A, gap)); joint[j] is log w_j + log N_j(x)
-    without the -d/2 log(2 pi) that all components share.
+    augmented difference [v_j, S v_j]; when P = I the form is |v|^2 / C on
+    v_j alone. Returns (joint (..., J, n), the difference scaled by its
+    scales); joint[j] is log w_j + log N_j(x) without the -d/2 log(2 pi)
+    that all components share.
     """
-    scales, half_logdet = coefs
-    augmented = np.concatenate([x, mix.pooling.sums(x)], axis=-1)
-    diff = augmented[..., None, :, :] - alpha * mix._aug_means
-    scaled = diff * np.repeat(scales, mix._parts, axis=1)[:, None, :]
+    if mix.pooling.block == 1:
+        diff = x[..., None, :, :] - alpha * mix._aug_means
+        scaled = diff * scales[:, 1:, None]
+    else:
+        augmented = np.concatenate([x, mix.pooling.sums(x)], axis=-1)
+        diff = augmented[..., None, :, :] - alpha * mix._aug_means
+        scaled = diff * np.repeat(scales, mix._parts, axis=1)[:, None, :]
     base = mix._log_w_rows - half_logdet
     joint = base - 0.5 * np.einsum("...jnd,...jnd->...jn", scaled, diff)
     return joint, scaled
 
 
-def _pull(mix: Mixture, x: np.ndarray, alpha: float, coefs) -> np.ndarray:
+def _pull(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
     """Minus the score of the diffused mixture: sum_j r_j C_j^-1 v_j.
 
     C_j^-1 v = v / A + S^T (gap S v); r_j are the responsibilities. x is
@@ -335,18 +312,19 @@ def _pull(mix: Mixture, x: np.ndarray, alpha: float, coefs) -> np.ndarray:
             raise ShapeMismatchError(
                 f"{x.shape[0]} state rows do not split into {groups} groups")
         x = x.reshape(groups, -1, d)
-    joint, scaled = _terms(mix, x, alpha, coefs)
+    joint, scaled = _terms(mix, x, alpha, scales, half_logdet)
     resp = np.exp(joint - joint.max(axis=-2, keepdims=True))
     resp /= resp.sum(axis=-2, keepdims=True)
-    pulled = np.einsum("...jn,...jnd->...nd", resp, scaled)
-    out = mix.pooling.spread_add(pulled[..., :d], pulled[..., d:])
+    out = np.einsum("...jn,...jnd->...nd", resp, scaled)
+    if mix.pooling.block > 1:
+        out = mix.pooling.spread_add(out[..., :d], out[..., d:])
     return out.reshape(-1, d)
 
 
 def mixture_log_density(mix: Mixture, x):
     _unstacked(mix, "mixture_log_density")
     xb, single = _as_batch(x, mix.dim)
-    joint = _terms(mix, xb, 1.0, mix._undiffused)[0]
+    joint = _terms(mix, xb, 1.0, *mix._undiffused)[0]
     out = _logsumexp(joint, axis=0)[0] - 0.5 * mix.dim * math.log(2 * math.pi)
     return float(out[0]) if single else out
 
@@ -354,7 +332,7 @@ def mixture_log_density(mix: Mixture, x):
 def mixture_score(mix: Mixture, x):
     """Gradient of log density, sum_j r_j C_j^-1 (m_j - x)."""
     xb, single = _as_batch(x, mix.dim)
-    out = -_pull(mix, xb, 1.0, mix._undiffused)
+    out = -_pull(mix, xb, 1.0, *mix._undiffused)
     return out[0] if single else out
 
 
@@ -408,38 +386,57 @@ def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
                    lam_par=s2 * world.tau**2 / g, pooling=pool)
 
 
-def _alpha_sigma(s: DiscreteSchedule, t: float) -> tuple[float, float]:
-    alpha, sigma, _, _ = s.coeffs(t)  # one schedule lookup for both
-    return float(alpha), float(sigma)
+class _SolveTable:
+    """A condition prepared for the times of one solve.
+
+    Holds the condition's mixture, a map from each time to its row, and
+    (alpha, sigma) and the `_coefficients` at every row, all found in one
+    vectorised pass.
+    """
+
+    def __init__(self, mix: Mixture, times, alpha, sigma):
+        self.mixture = mix
+        self._rows = {t: i for i, t in enumerate(times)}
+        self._alpha = alpha
+        self._sigma = sigma
+        self._scales, self._half_logdet = _coefficients(mix, alpha, sigma)
+
+    def eps(self, x, t):
+        i = self._rows.get(t)
+        if i is None:
+            raise ValidationError(f"t={t} is not a time this condition "
+                                  "was prepared for")
+        xb, single = _as_batch(x, self.mixture.dim)
+        out = self._sigma[i] * _pull(self.mixture, xb, self._alpha[i],
+                                     self._scales[i], self._half_logdet[i])
+        return out[0] if single else out
 
 
-def _eps_from_mixture(mix: Mixture, x, t, s: DiscreteSchedule,
-                      coefficients=_coefficients):
+def _eps_once(mix: Mixture, x, t, s: DiscreteSchedule):
+    """eps through a one-row table; the scalar schedule lookup gives the
+    array lookup's bits in a twentieth of the time."""
     t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError("t must lie in [0, 1]")
-    alpha, sigma = _alpha_sigma(s, t)
-    xb, single = _as_batch(x, mix.dim)
-    out = sigma * _pull(mix, xb, alpha, coefficients(mix, alpha, sigma))
-    return out[0] if single else out
+    alpha, sigma, _, _ = s.coeffs(t)
+    table = _SolveTable(mix, (t,), np.array([alpha]), np.array([sigma]))
+    return table.eps(x, t)
 
 
 def eps_conditional(world: GmmWorld, x_t, y, t, s: DiscreteSchedule):
     """Exact eps-prediction -sigma(t) grad log q_t(x_t | y)."""
-    return _eps_from_mixture(conditional_posterior(world, y), x_t, t, s)
+    return _eps_once(conditional_posterior(world, y), x_t, t, s)
 
 
 def eps_unconditional(world: GmmWorld, x_t, t, s: DiscreteSchedule):
     """Exact eps-prediction under the prior mixture (blank condition)."""
-    return _eps_from_mixture(prior_mixture(world), x_t, t, s)
+    return _eps_once(prior_mixture(world), x_t, t, s)
 
 
 class AnalyticDenoiser:
     """eps(x_t, condition, t) backed by the exact world score.
 
     A condition is BLANK, one observation (k,), or a (B, k) stack of them
-    for a (B n, d) state. Pure given (world, schedule): posteriors are
-    cached by condition value and per-time coefficients by variances, so
+    for a (B n, d) state; or what `prepare` made of one for a solve. Pure
+    given (world, schedule): posteriors are cached by condition value, so
     repeated calls from any thread return identical results.
     """
 
@@ -448,7 +445,6 @@ class AnalyticDenoiser:
         self.schedule = s
         self._prior = prior_mixture(world)
         self._posteriors: dict[bytes, Mixture] = {}
-        self._coefficients = _CoefficientCache()
 
     def _mixture(self, condition) -> Mixture:
         if condition is BLANK:
@@ -463,12 +459,26 @@ class AnalyticDenoiser:
             self._posteriors[key] = mix
         return mix
 
+    def prepare(self, condition, times):
+        """`condition` ready for eps at each of `times` in [0, 1], and only
+        those, from one array schedule lookup. The solve keeps the result;
+        the denoiser keeps no per-time state."""
+        times = np.asarray(times, dtype=np.float64).reshape(-1)
+        alpha, sigma, _, _ = self.schedule.coeffs(times)
+        return _SolveTable(self._mixture(condition), times.tolist(), alpha,
+                           sigma)
+
     def eps(self, x_t, condition, t):
-        return _eps_from_mixture(self._mixture(condition), x_t, t,
-                                 self.schedule, self._coefficients)
+        if isinstance(condition, _SolveTable):
+            return condition.eps(x_t, t)
+        # One time: the one-row case of a prepared solve.
+        return _eps_once(self._mixture(condition), x_t, t, self.schedule)
 
 
 class _ZeroDenoiser:
+    def prepare(self, condition, times):
+        return condition
+
     def eps(self, x_t, condition, t):
         return np.zeros_like(np.asarray(x_t, dtype=np.float64))
 

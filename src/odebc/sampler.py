@@ -1,8 +1,11 @@
 """Reverse-process solvers: ancestral DDPM, DDIM, DPM-Solver-2, fine Euler.
 
 All solvers share one calling convention: the state is a flat vector (or a
-batch of them), the model provides eps(x, cond, t) on normalized time, and
-the timestep plan runs from the noise boundary down to zero. A condition
+batch of them), the timestep plan runs from the noise boundary down to
+zero, and the model provides two methods on normalized time. A solve first
+calls prepare(cond, times) once with every time it will visit, and then
+eps(x, prepared, t) at each step, for t among those times; a model with
+nothing to look up per time returns cond from prepare unchanged. A condition
 may be a (B, k) stack of observations: the (B n, d) state then splits into
 B equal, consecutive row groups, each conditioned on its own observation,
 and one solve carries all of them (the state stays 2-D). DDPM draws one
@@ -82,11 +85,12 @@ def ddpm_sample(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
     steps = cfg.plan.require_steps()
     abar = s.alpha_bars
     x = _check_state(x_t)
-    n = s.total_steps - 1
+    times = cfg.plan.times
+    cond = model.prepare(cond, times[:-1])
     for i in range(cfg.plan.n_transitions):
         k, kp = int(steps[i]), int(steps[i + 1])
         a_k, a_p = abar[k], abar[kp]
-        eps = model.eps(x, cond, k / n)
+        eps = model.eps(x, cond, times[i])
         x0_hat = (x - math.sqrt(1.0 - a_k) * eps) / math.sqrt(a_k)
         beta = 1.0 - a_k / a_p
         mean = (
@@ -108,10 +112,11 @@ def ddim_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
     steps = cfg.plan.require_steps()
     abar = s.alpha_bars
     x = _check_state(x_t)
-    n = s.total_steps - 1
+    times = cfg.plan.times
+    cond = model.prepare(cond, times[:-1])
     for i in range(cfg.plan.n_transitions):
         k, kp = int(steps[i]), int(steps[i + 1])
-        eps = model.eps(x, cond, k / n)
+        eps = model.eps(x, cond, times[i])
         ratio = math.sqrt(abar[kp] / abar[k])
         x = ratio * (x - math.sqrt(1.0 - abar[k]) * eps) \
             + math.sqrt(1.0 - abar[kp]) * eps
@@ -144,11 +149,12 @@ def dpm_solver2_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
     x = _check_state(x_t)
     h, mids, a_ends, a_mids, s_ends, s_mids = _dpm2_grid(s, cfg.plan)
     times = cfg.plan.times
+    cond = model.prepare(cond, np.concatenate([times[:-1], mids]))
     for i in range(cfg.plan.n_transitions):
-        eps_s = model.eps(x, cond, float(times[i]))
+        eps_s = model.eps(x, cond, times[i])
         u = (a_mids[i] / a_ends[i]) * x \
             - s_mids[i] * math.expm1(0.5 * h[i]) * eps_s
-        eps_m = model.eps(u, cond, float(mids[i]))
+        eps_m = model.eps(u, cond, mids[i])
         x = (a_ends[i + 1] / a_ends[i]) * x \
             - s_ends[i + 1] * math.expm1(h[i]) * eps_m
     return x
@@ -163,8 +169,9 @@ def euler_reference_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, co
     _, sigma, f, g2 = s.coeffs(times[:-1])
     gain = g2 / (2.0 * sigma)
     dts = np.diff(times)
+    cond = model.prepare(cond, times[:-1])
     for i in range(cfg.plan.n_transitions):
-        eps = model.eps(x, cond, float(times[i]))
+        eps = model.eps(x, cond, times[i])
         x = x + dts[i] * (f[i] * x + gain[i] * eps)
     return x
 

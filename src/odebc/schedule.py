@@ -65,7 +65,7 @@ class DiscreteSchedule:
             seg = self._log_alpha_bar_list[k + 1] - lo
             return lo + (u - k) * seg, seg * n
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
             raise ValidationError("t must lie in [0, 1]")
         u = t * n
         k = np.clip(np.floor(u).astype(np.int64), 0, n - 1)

@@ -3,7 +3,9 @@
 The dense oracle is the model's posterior written with d x d matrices:
 Cholesky solves for the evidence, an eigendecomposition per component and
 scores through the eigenbasis. The package's closed-form two-eigenvalue
-path is checked against it.
+path is checked against it. The two-part oracle is the closed form's eps
+with both parts of the quadratic form kept for every pooling, P = I
+included, and the coefficients looked up one time at a time.
 """
 
 from dataclasses import dataclass
@@ -17,10 +19,12 @@ from scipy.special import logsumexp
 from odebc.errors import NonConvergenceError, ValidationError
 from odebc.metrics import EnergyTestResult
 from odebc.model import (
+    BLANK,
     GmmWorld,
     conditional_posterior,
     mixture_log_density,
     mixture_score,
+    prior_mixture,
 )
 from odebc.rng import generator
 from odebc.schedule import DiscreteSchedule, TimestepPlan, resample_timesteps
@@ -167,6 +171,54 @@ def dense_score(mix: DenseMixture, x: np.ndarray) -> np.ndarray:
     return -np.einsum("jb,jbd->bd", resp, scaled)
 
 
+def two_part_eps(mix, s: DiscreteSchedule, x, t) -> np.ndarray:
+    """eps of a (possibly stacked) mixture at one time t, from the
+    quadratic form |v|^2 / A + gap |S v|^2 on the augmented difference
+    [v, S v], gap = (1/C - 1/A) / b^2. For block > 1 this is the package's
+    arithmetic, operation for operation; for P = I it keeps the second
+    part that the package folds into one."""
+    pool = mix.pooling
+    d, k = pool.dim, pool.obs_dim
+    alpha, sigma, _, _ = s.coeffs(float(t))
+    var = alpha * alpha * np.stack([mix.lam_perp, mix.lam_par], axis=1) \
+        + sigma * sigma
+    logs = np.log(var)
+    half_logdet = 0.5 * ((d - k) * logs[:, 0] + k * logs[:, 1])
+    scales = 1.0 / var
+    scales[:, 1] = (scales[:, 1] - scales[:, 0]) / pool.size
+    x = np.asarray(x, dtype=np.float64)
+    rows = x.reshape(-1, d)
+    if mix.groups is not None:
+        rows = rows.reshape(mix.groups, -1, d)
+    means = np.concatenate([mix.means, pool.sums(mix.means)], axis=-1)
+    augmented = np.concatenate([rows, pool.sums(rows)], axis=-1)
+    diff = augmented[..., None, :, :] - alpha * means[..., None, :]
+    scaled = diff * np.repeat(scales, (d, k), axis=1)[:, None, :]
+    base = mix.log_w[..., None] - half_logdet[:, None]
+    joint = base - 0.5 * np.einsum("...jnd,...jnd->...jn", scaled, diff)
+    resp = np.exp(joint - joint.max(axis=-2, keepdims=True))
+    resp /= resp.sum(axis=-2, keepdims=True)
+    pulled = np.einsum("...jn,...jnd->...nd", resp, scaled)
+    out = pool.spread_add(pulled[..., :d], pulled[..., d:])
+    return (float(sigma) * out).reshape(x.shape)
+
+
+class TwoPartDenoiser:
+    """The analytic denoiser with `two_part_eps` as its kernel."""
+
+    def __init__(self, world: GmmWorld, s: DiscreteSchedule):
+        self.world = world
+        self.schedule = s
+
+    def prepare(self, condition, times):
+        return condition
+
+    def eps(self, x_t, condition, t):
+        mix = (prior_mixture(self.world) if condition is BLANK
+               else conditional_posterior(self.world, condition))
+        return two_part_eps(mix, self.schedule, x_t, t)
+
+
 def log_density_x0_given_y(world: GmmWorld, x_0, y):
     return mixture_log_density(conditional_posterior(world, y), x_0)
 
@@ -203,6 +255,9 @@ def mode_oracle(world: GmmWorld, y, n_starts: int = 8, seed: int = 0) -> np.ndar
 class _LinearDenoiser:
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=np.float64)
+
+    def prepare(self, condition, times):
+        return condition
 
     def eps(self, x_t, condition, t):
         return np.asarray(x_t, dtype=np.float64) @ self.matrix.T

@@ -48,13 +48,17 @@ def dpm2_cfg(n):
 
 class CountingDenoiser:
     """Counts eps calls and the rows of the 2-D states they see; a stacked
-    (B, k) condition shares one call over its B row groups."""
+    (B, k) condition shares one call over its B row groups. `prepare`
+    passes through uncounted: it is one call per solve, not per step."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
         self.rows = 0
         self.largest = 0  # state elements of the largest call
+
+    def prepare(self, condition, times):
+        return self.inner.prepare(condition, times)
 
     def eps(self, x_t, condition, t):
         self.calls += 1
@@ -253,11 +257,11 @@ def test_tasks_partition_the_table_within_the_state_budget():
                                   (0, range(2, 3))]
 
 
-def test_shared_coefficient_cache_under_thread_stress():
-    # 8 threads on a cache of 3 entries: every task evicts while others
-    # read. The bits must not change and the cap must hold.
+def test_shared_denoiser_under_thread_stress():
+    # 8 threads share one denoiser and its posterior cache, each solve with
+    # its own time table, switching as often as the interpreter allows.
+    # The bits must not change.
     world, den, refs = small_setup(n_pairs=5)
-    den._coefficients.size = 3
     cands = CandidateSet(seed=15, size=3 * CHUNK, dim=world.dim)
     serial = objective_table(cands, refs, ddim_cfg(10),
                              AnalyticDenoiser(world, SCHED), L2)
@@ -268,7 +272,6 @@ def test_shared_coefficient_cache_under_thread_stress():
     finally:
         sys.setswitchinterval(interval)
     assert threaded.tobytes() == serial.tobytes()
-    assert len(den._coefficients) <= 3
 
 
 def test_objective_ranking_tracks_posterior_density():

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,32 @@ def test_render_requires_image_world(tmp_path):
                     "--set", "search.candidates=4",
                     "--render", "1"])
     assert code == 1
+
+
+def test_independence_needs_two_conditions(tmp_path, capsys):
+    # One condition has no off-diagonal to take the median of.
+    out = str(tmp_path / "one")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(["independence", "--out", out, *SMALL_WORLD,
+                        "--set", "run.conditions=1",
+                        "--set", "search.candidates=3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: independence needs at least 2 conditions, got 1\n"
+
+
+def test_independence_correlations_stay_in_unit_interval(tmp_path):
+    # Two candidates make every correlation +-1 up to rounding; on the
+    # default world one lands on 1.0000000000000002 without clipping.
+    out = tmp_path / "two"
+    assert cli.run(["independence", "--out", str(out),
+                    "--set", "search.candidates=2",
+                    "--set", "run.conditions=3"]) == 0
+    mat = np.array([[float(v) for v in line.split(",")] for line in
+                    (out / "independence.csv").read_text().splitlines()[1:]])
+    assert np.all(np.abs(mat) <= 1.0)
+    np.testing.assert_allclose(np.abs(mat), 1.0, rtol=1e-12)
 
 
 def test_negative_render_rejected(tmp_path, capsys):

@@ -82,6 +82,14 @@ def test_pearson_basics():
         pearson_corr([1.0], [2.0])
 
 
+def test_pearson_clipped_to_unit_interval():
+    # Unclipped, rounding gives -1.0000000000000002 and 1.0000000000000002.
+    u = np.array([0.6333526228249152, -2.2035098806466507])
+    v = np.array([0.05202897425988651, 0.6836861907765345])
+    assert pearson_corr(u, v) == -1.0
+    assert pearson_corr(u, -v) == 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     u=hnp.arrays(np.float64, 7, elements=st.floats(-100, 100)),

@@ -1,5 +1,7 @@
 """Posterior algebra, exact scores, and the analytic denoiser."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -15,9 +17,11 @@ from helpers import (
     eigenvalues,
     flat_world,
     image_world,
+    TwoPartDenoiser,
     linear_denoiser,
     log_density_x0_given_y,
     mode_oracle,
+    two_part_eps,
 )
 from odebc.config import build_solver, build_world, default_config
 from odebc.errors import ShapeMismatchError, ValidationError
@@ -34,7 +38,6 @@ from odebc.model import (
     mixture_score,
     prior_mixture,
     zero_denoiser,
-    _eps_from_mixture,
 )
 from odebc.rng import generator
 from odebc.sampler import project
@@ -409,31 +412,90 @@ def test_stacked_mixture_rejected_where_groups_have_no_meaning():
         mixture_log_density(stacked, np.zeros((2, world.dim)))
 
 
-def test_coefficient_cache_is_bounded_shared_and_exact():
+def test_euler_projection_leaves_no_per_time_state():
+    # The solve owns its time table (about 1 MB for 10000 times): once it
+    # returns, the denoiser holds its posterior and nothing per time.
     world = flat_world()
     s = make_linear_vp_schedule(1000, 1e-4, 0.02)
-    pairs = sample_pairs(world, 3, seed=10)
+    _, y = sample_pairs(world, 1, seed=10)[0]
     x_t = generator(7, 0).standard_normal(world.dim)
     euler = build_solver({"kind": "euler", "steps": 10000}, s)
-
-    class Uncached:
-        posterior = conditional_posterior(world, pairs[0][1])
-
-        def eps(self, x, condition, t):
-            return _eps_from_mixture(self.posterior, x, t, s)
-
     den = AnalyticDenoiser(world, s)
-    cache = den._coefficients
-    out = project(den, euler, x_t, pairs[0][1])
-    # 10000 distinct times, but never more than `size` entries kept
-    assert cache.size == 1024 and 0 < len(cache) <= cache.size
-    np.testing.assert_array_equal(out, project(Uncached(), euler, x_t, pairs[0][1]))
-    # Stacked and unstacked posteriors share their variances, hence entries.
+    den.eps(x_t, y, 0.5)  # builds the posterior
+    fields = dict(vars(den))
+    (post,) = den._posteriors.values()
+    post_fields = dict(vars(post))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = project(den, euler, x_t, y)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 16384
+    assert vars(den) == fields and vars(post) == post_fields
+    assert list(den._posteriors.values()) == [post]
+    assert np.all(np.isfinite(out))
+    table = den.prepare(y, [0.5, 0.25])
+    with pytest.raises(ValidationError):
+        den.eps(x_t, table, 0.3)  # not a prepared time
+    with pytest.raises(ValidationError):
+        den.prepare(y, [0.5, np.nan])
+
+
+BLOCK1_WORLDS = {
+    "flat-d2": lambda: flat_world(dim=2, n_comp=2),
+    "flat-d8": flat_world,
+    "8x8/1": lambda: image_world(8, 8, 1, block=1),
+}
+BLOCKED_WORLDS = {
+    "4x4/2": image_world,
+    "8x8/2": lambda: _config_world(8),
+    "6x6x3/3": lambda: image_world(6, 6, 3, block=3),
+}
+
+
+def assert_two_part(world_name, got, want):
+    """P = I folds the two parts into one: within 1e-13 relative there;
+    for block > 1 the arithmetic is the oracle's, bit for bit."""
+    if world_name in BLOCK1_WORLDS:
+        assert_rel(got, want, tol=1e-13)
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def _world_and_conditions(world_name):
+    world = {**BLOCK1_WORLDS, **BLOCKED_WORLDS}[world_name]()
+    ys = np.stack([y for _, y in sample_pairs(world, 3, seed=12)])
+    return world, [BLANK, ys[0], ys]
+
+
+@pytest.mark.parametrize("world_name", [*BLOCK1_WORLDS, *BLOCKED_WORLDS])
+def test_eps_matches_two_part_oracle(world_name):
+    world, conditions = _world_and_conditions(world_name)
+    s = make_linear_vp_schedule(1000, 1e-4, 0.02)
     den = AnalyticDenoiser(world, s)
-    ddim = build_solver({"kind": "ddim", "steps": 10}, s)
-    ys = np.stack([y for _, y in pairs])
-    project(den, ddim, np.tile(x_t, (3, 1)), ys)
-    for _, y in pairs:
-        project(den, ddim, x_t, y)
-    assert len(den._posteriors) == 4
-    assert len(den._coefficients) == 9  # one entry per ddim-10 time
+    x = generator(13, 0).standard_normal((6, world.dim))
+    for cond in conditions:
+        mix = (prior_mixture(world) if cond is BLANK
+               else conditional_posterior(world, cond))
+        table = den.prepare(cond, [0.02, 0.5, 0.97, 1.0])
+        for t in (0.02, 0.5, 0.97, 1.0):
+            want = two_part_eps(mix, s, x, t)
+            assert_two_part(world_name, den.eps(x, cond, t), want)
+            assert_two_part(world_name, den.eps(x, table, t), want)
+            if mix.groups is None:
+                assert_two_part(world_name, den.eps(x[0], cond, t), want[0])
+
+
+@pytest.mark.parametrize("kind", ["ddim", "dpm2", "euler"])
+@pytest.mark.parametrize("world_name", [*BLOCK1_WORLDS, *BLOCKED_WORLDS])
+def test_solvers_match_two_part_oracle(world_name, kind):
+    world, conditions = _world_and_conditions(world_name)
+    s = make_linear_vp_schedule(1000, 1e-4, 0.02)
+    cfg = build_solver({"kind": kind, "steps": 1000 if kind == "euler" else 10}, s)
+    x = generator(14, 0).standard_normal((6, world.dim))
+    for cond in conditions:
+        assert_two_part(world_name,
+                        project(AnalyticDenoiser(world, s), cfg, x, cond),
+                        project(TwoPartDenoiser(world, s), cfg, x, cond))
