@@ -16,7 +16,6 @@ from .bcsearch import (
     ReferenceSet,
     SearchResult,
     held_out_gain,
-    objective,
     objective_table,
     search_optimal_bc,
 )
@@ -30,17 +29,12 @@ from .metrics import (
     Metric,
     energy_distance_test,
     get_metric,
-    grad_perceptual_distance,
-    l2_distance,
     pearson_corr,
-    psnr,
 )
 from .model import (
     BLANK,
     AnalyticDenoiser,
     conditional_posterior,
-    eps_conditional,
-    eps_unconditional,
     mixture_log_density,
     mixture_sample,
     mixture_score,
@@ -68,7 +62,6 @@ from .worldgen import (
     sample_pair,
     sample_pairs,
     save_pairs,
-    split,
     world_from_spec,
 )
 
@@ -98,26 +91,20 @@ __all__ = [
     "benchmark_samplers",
     "conditional_posterior",
     "energy_distance_test",
-    "eps_conditional",
-    "eps_unconditional",
     "gauss",
     "generator",
     "get_metric",
-    "grad_perceptual_distance",
     "held_out_gain",
     "independence_matrix",
-    "l2_distance",
     "load_pairs",
     "make_linear_vp_schedule",
     "mixture_log_density",
     "mixture_sample",
     "mixture_score",
-    "objective",
     "objective_table",
     "pearson_corr",
     "prior_mixture",
     "project",
-    "psnr",
     "read_tensor",
     "render_pgm",
     "resample_timesteps",
@@ -126,7 +113,6 @@ __all__ = [
     "sample_pairs",
     "save_pairs",
     "search_optimal_bc",
-    "split",
     "uniform_continuous_plan",
     "world_from_spec",
     "world_value_range",

@@ -2,7 +2,7 @@
 
 The ablations never re-solve the ODE for a subset: the full candidate-by-
 reference distance table is computed once and subsets reduce to sums over
-its rows and columns, exactly consistent with the search's own objective.
+its rows and columns, exactly consistent with the search's own sums.
 """
 
 from __future__ import annotations
@@ -11,8 +11,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bcsearch import CandidateSet, ReferenceSet, distance_table, objective_table
-from .errors import ValidationError
+from .bcsearch import (
+    CandidateSet,
+    ReferenceSet,
+    distance_table,
+    objective_table,
+    row_sums,
+)
+from .errors import ShapeMismatchError, ValidationError
 from .metrics import Metric, pearson_corr
 from .model import AnalyticDenoiser, GmmWorld
 from .rng import gauss, generator
@@ -71,7 +77,7 @@ def benchmark_samplers(world: GmmWorld, test_pairs, solver_list, bc,
 @dataclass(frozen=True)
 class AblationCurve:
     sizes: tuple
-    means: np.ndarray  # mean held-out objective per size
+    means: np.ndarray  # mean held-out distance per size
     stds: np.ndarray  # repeat std per size
     per_repeat: np.ndarray  # n_sizes x repeats
 
@@ -93,17 +99,9 @@ def _curve_from_repeats(sizes, per_repeat: np.ndarray) -> AblationCurve:
     )
 
 
-def _subset_sums(table: np.ndarray, columns) -> np.ndarray:
-    """Row sums over the chosen columns, accumulated in ascending order."""
-    sums = np.zeros(table.shape[0])
-    for c in columns:
-        sums = sums + table[:, c]
-    return sums
-
-
 def ablate_reference_size(world: GmmWorld, pool_pairs, sizes, repeats: int,
                           k_fixed: int, solver: SolverConfig, metric: Metric,
-                          seed: int, holdout_pairs=None,
+                          seed: int, holdout_pairs,
                           workers: int = 1) -> AblationCurve:
     """Search quality versus reference-set size, one fixed candidate set.
 
@@ -111,11 +109,6 @@ def ablate_reference_size(world: GmmWorld, pool_pairs, sizes, repeats: int,
     the K x pool and K x holdout tables are computed once and every
     (size, repeat) cell is a pure reduction over them.
     """
-    if holdout_pairs is None:
-        if len(pool_pairs) < 2:
-            raise ValidationError("pool too small to carve a holdout")
-        cut = max(len(pool_pairs) // 4, 1)
-        holdout_pairs, pool_pairs = pool_pairs[:cut], pool_pairs[cut:]
     if max(sizes) > len(pool_pairs):
         raise ValidationError("requested size exceeds the reference pool")
     model = AnalyticDenoiser(world, solver.schedule)
@@ -130,26 +123,20 @@ def ablate_reference_size(world: GmmWorld, pool_pairs, sizes, repeats: int,
             rng = generator(seed, 1_000_003 * si + r + 1)
             chosen = np.sort(rng.choice(len(pool_pairs), size=int(size),
                                         replace=False))
-            sums = _subset_sums(pool_table, chosen)
-            best = int(np.argmin(sums))
+            best = int(np.argmin(row_sums(pool_table[:, chosen])))
             per_repeat[si, r] = hold_table[best].mean()
     return _curve_from_repeats(sizes, per_repeat)
 
 
 def ablate_candidate_size(world: GmmWorld, refs_fixed, sizes, repeats: int,
                           solver: SolverConfig, metric: Metric, seed: int,
-                          holdout_pairs=None, workers: int = 1) -> AblationCurve:
+                          holdout_pairs, workers: int = 1) -> AblationCurve:
     """Search quality versus candidate-set size, fresh seeds per repeat.
 
     Candidate sets are prefix-stable, so one K_max x R table per repeat
     serves every size as a row prefix; the distinct winners of a repeat
     share one held-out table.
     """
-    if holdout_pairs is None:
-        if len(refs_fixed) < 2:
-            raise ValidationError("reference set too small to carve a holdout")
-        cut = max(len(refs_fixed) // 4, 1)
-        holdout_pairs, refs_fixed = refs_fixed[:cut], refs_fixed[cut:]
     model = AnalyticDenoiser(world, solver.schedule)
     refs = ReferenceSet(tuple(refs_fixed), "ablation-refs")
     hold_refs = ReferenceSet(tuple(holdout_pairs), "ablation-holdout")
@@ -159,8 +146,7 @@ def ablate_candidate_size(world: GmmWorld, refs_fixed, sizes, repeats: int,
         cands = CandidateSet(seed=seed + 7_919 * (r + 1), size=k_max,
                              dim=world.dim)
         table = objective_table(cands, refs, solver, model, metric, workers)
-        bests = [int(np.argmin(_subset_sums(table[:int(size)], range(len(refs)))))
-                 for size in sizes]
+        bests = [int(np.argmin(row_sums(table[:int(size)]))) for size in sizes]
         distinct = list(dict.fromkeys(bests))
         hold = distance_table(np.stack([cands.candidate(k) for k in distinct]),
                               hold_refs, solver, model, metric, workers)
@@ -194,7 +180,11 @@ def render_pgm(path, values: np.ndarray, shape: tuple[int, int],
     """8-bit binary PGM of a flat tensor, affine [lo, hi] -> [0, 255]."""
     if hi <= lo:
         raise ValidationError("need hi > lo for the PGM value mapping")
-    img = np.asarray(values, dtype=np.float64).reshape(shape)
+    img = np.asarray(values, dtype=np.float64)
+    if img.size != shape[0] * shape[1]:
+        raise ShapeMismatchError(f"cannot render a tensor of shape {img.shape} "
+                                 f"as a {shape[0]}x{shape[1]} image")
+    img = img.reshape(shape)
     scaled = np.clip((img - lo) / (hi - lo) * 255.0, 0.0, 255.0)
     data = np.round(scaled).astype(np.uint8)
     with open(path, "wb") as fh:

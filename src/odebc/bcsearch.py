@@ -4,7 +4,7 @@ A candidate x_T is scored by projecting it through the deterministic solver
 against every reference pair and summing the distances; the best candidate
 is the argmin. Candidates are a pure function of (seed, index), so prefix
 subsets of a larger candidate set are exactly the smaller set, and the K x R
-objective table can be subset instead of re-solved for the ablations.
+distance table can be subset instead of re-solved for the ablations.
 """
 
 from __future__ import annotations
@@ -132,18 +132,6 @@ def distance_table(stack, refs: ReferenceSet, solver: SolverConfig, model,
     return table
 
 
-def objective(bc, refs: ReferenceSet, solver: SolverConfig, model,
-              metric: Metric):
-    """Sum of metric(project(bc, y_i), z_i), accumulated in ascending i;
-    the one-candidate case of distance_table."""
-    bc = np.asarray(bc, dtype=np.float64)
-    per_ref = distance_table(bc[None], refs, solver, model, metric)[0].tolist()
-    total = 0.0
-    for value in per_ref:
-        total += value
-    return total, per_ref
-
-
 def objective_table(cands: CandidateSet, refs: ReferenceSet,
                     solver: SolverConfig, model, metric: Metric,
                     workers: int = 1) -> np.ndarray:
@@ -152,13 +140,20 @@ def objective_table(cands: CandidateSet, refs: ReferenceSet,
     return distance_table(stack, refs, solver, model, metric, workers)
 
 
-def result_from_table(cands: CandidateSet, table: np.ndarray) -> SearchResult:
-    sums = np.empty(table.shape[0])
-    for k in range(table.shape[0]):
-        total = 0.0
-        for value in table[k]:
-            total += value
-        sums[k] = total
+def row_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's sum, added one column at a time in ascending order: a
+    candidate's summed distance, in the one order every caller uses."""
+    sums = np.zeros(table.shape[0])
+    for column in table.T:
+        sums = sums + column
+    return sums
+
+
+def search_optimal_bc(cands: CandidateSet, refs: ReferenceSet,
+                      solver: SolverConfig, model, metric: Metric,
+                      workers: int = 1) -> SearchResult:
+    table = objective_table(cands, refs, solver, model, metric, workers)
+    sums = row_sums(table)
     best = int(np.argmin(sums))  # argmin takes the lowest index on ties
     return SearchResult(
         best_index=best,
@@ -166,13 +161,6 @@ def result_from_table(cands: CandidateSet, table: np.ndarray) -> SearchResult:
         objective_table=table,
         per_candidate_sums=sums,
     )
-
-
-def search_optimal_bc(cands: CandidateSet, refs: ReferenceSet,
-                      solver: SolverConfig, model, metric: Metric,
-                      workers: int = 1) -> SearchResult:
-    table = objective_table(cands, refs, solver, model, metric, workers)
-    return result_from_table(cands, table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,15 +178,16 @@ def held_out_gain(bc, holdout: ReferenceSet, solver: SolverConfig, model,
     """Mean held-out distance of bc versus n_random fresh random BCs."""
     if n_random < 2:
         raise ValidationError("need n_random >= 2 for a std estimate")
-    dim = np.asarray(bc).size
-    rand_cands = CandidateSet(seed=seed, size=n_random, dim=dim)
+    bc = np.asarray(bc, dtype=np.float64)
+    rand_cands = CandidateSet(seed=seed, size=n_random, dim=bc.size)
     table = objective_table(rand_cands, holdout, solver, model, metric, workers)
     random_means = table.mean(axis=1)
-    searched = objective(bc, holdout, solver, model, metric)[0] / len(holdout)
+    own = distance_table(bc[None], holdout, solver, model, metric)
+    searched = float(row_sums(own)[0]) / len(holdout)
     rand_mean = float(random_means.mean())
     rand_std = float(random_means.std(ddof=1))
     return GainReport(
-        searched_mean=float(searched),
+        searched_mean=searched,
         random_means=random_means,
         random_mean=rand_mean,
         random_std=rand_std,

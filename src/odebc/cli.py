@@ -45,8 +45,6 @@ from .model import (
     AnalyticDenoiser,
     GmmWorld,
     conditional_posterior,
-    eps_conditional,
-    eps_unconditional,
     mixture_log_density,
     mixture_sample,
     prior_mixture,
@@ -105,7 +103,7 @@ def _build_all(cfg):
 
 
 def _reference_pairs(cfg, world, count, seed):
-    pairs_dir = cfg["run"].get("pairs_dir")
+    pairs_dir = cfg["run"]["pairs_dir"]
     if pairs_dir:
         pairs = load_pairs(pairs_dir)
         if len(pairs) < count:
@@ -339,20 +337,14 @@ def _verify_world_d2() -> GmmWorld:
 def _check_score_fd() -> tuple[bool, str]:
     world = _verify_world_d8()
     sched = make_linear_vp_schedule(1000, 1e-4, 0.02)
+    model = AnalyticDenoiser(world, sched)
     worst = 0.0
     for i, t in enumerate((0.03, 0.3, 0.7, 0.95)):
         alpha, sigma = sched.alpha(t), sched.sigma(t)
         _, y = sample_pairs(world, 1, 40 + i)[0]
-
-        def eps_prior(x, t=t):
-            return eps_unconditional(world, x, t, sched)
-
-        def eps_post(x, t=t, y=y):
-            return eps_conditional(world, x, y, t, sched)
-
-        cases = [(prior_mixture(world), eps_prior),
-                 (conditional_posterior(world, y), eps_post)]
-        for mix0, eps_fn in cases:
+        cases = [(prior_mixture(world), BLANK),
+                 (conditional_posterior(world, y), y)]
+        for mix0, cond in cases:
             mix_t = mix0.diffused(alpha, sigma)
             # the narrowest direction: conditioning only shrinks lam_par
             h = 4e-5 * np.sqrt(mix_t.lam_par.min())
@@ -363,7 +355,7 @@ def _check_score_fd() -> tuple[bool, str]:
                     e[j] = h
                     fd[j] = (mixture_log_density(mix_t, x + e)
                              - mixture_log_density(mix_t, x - e)) / (2 * h)
-                eps = eps_fn(x)
+                eps = model.eps(x, cond, t)
                 rel = (np.linalg.norm(eps - (-sigma * fd))
                        / np.linalg.norm(eps))
                 worst = max(worst, rel)
@@ -446,7 +438,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                      help="override one config key")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker threads (default env ODEBC_WORKERS or 1)")
+                     help="worker threads (default run.workers, 1)")
     sub.add_argument("--seed", type=int, default=None, help="run.seed")
     sub.add_argument("--out", default=None, help="output directory")
 
@@ -486,10 +478,17 @@ def _build_parser() -> _Parser:
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # Extreme input values that overflow the maths end as an error,
+        # not as numpy warnings followed by non-finite output.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ValidationError, ShapeMismatchError, PlanMismatchError,
             NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: the inputs overflow the computation ({exc})",
+              file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

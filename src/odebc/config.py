@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from functools import partial
 
 from .errors import ValidationError, require_integer, require_number
 from .metrics import Metric, get_metric
@@ -23,149 +24,12 @@ from .schedule import (
 )
 from .worldgen import world_from_spec
 
-SECTIONS = ("world", "solver", "search", "metric", "run")
-
-DEFAULTS = {
-    "world": {
-        "shape": [8, 8, 1],
-        "block": 2,
-        "tau": 0.05,
-        "components": [
-            {"weight": 0.9, "std": 0.35,
-             "mean": {"texture": "gradient", "amplitude": 2.0}},
-            # same gradient plus a checker offset that block-averages to
-            # zero: the LR observation can never tell the two modes apart
-            {"weight": 0.1, "std": 0.35,
-             "mean": {"sum": [
-                 {"texture": "gradient", "amplitude": 2.0},
-                 {"texture": "checker", "amplitude": 0.35},
-             ]}},
-        ],
-    },
-    "solver": {
-        "kind": "ddim",
-        "steps": 50,
-        "noise_seed": 0,
-        "total_steps": 1000,
-        "beta_1": 1e-4,
-        "beta_t": 0.02,
-    },
-    "search": {
-        "candidates": 64,
-        "candidate_seed": 7,
-        "references": 16,
-        "reference_seed": 11,
-        "n_random": 32,
-    },
-    "metric": {"name": "l2"},
-    "run": {
-        "seed": 0,
-        "out": "out",
-        "workers": None,  # falls back to ODEBC_WORKERS, then 1
-        "pairs": 32,
-        "pairs_dir": None,
-        "test_pairs": 8,
-        "test_seed": 2,
-        "holdout": 16,
-        "holdout_seed": 13,
-        "solvers": None,
-        "sizes": None,
-        "repeats": 8,
-        "k_fixed": 200,
-        "conditions": 10,
-        "condition_seed": 5,
-        "random_seed": 77,
-    },
-}
-
-
-def default_config() -> dict:
-    return copy.deepcopy(DEFAULTS)
-
-
-def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"malformed config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"config {path} must be a JSON object")
-    if "config" in data and "command" in data:  # a run manifest
-        data = data["config"]
-    unknown = set(data) - set(SECTIONS)
-    if unknown:
-        raise ValidationError(
-            f"config {path}: unknown section(s) {sorted(unknown)}")
-    return data
-
-
-def deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def apply_set(config: dict, expr: str) -> None:
-    """Apply one `section.key[.key]=json-value` override in place."""
-    if "=" not in expr:
-        raise ValidationError(f"--set needs section.key=value, got {expr!r}")
-    dotted, _, raw = expr.partition("=")
-    keys = dotted.split(".")
-    if len(keys) < 2 or keys[0] not in SECTIONS:
-        raise ValidationError(
-            f"--set key {dotted!r} must start with one of {SECTIONS}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw  # bare strings are convenient on the command line
-    except RecursionError:
-        raise ValidationError(f"--set {dotted} value is nested too deeply") from None
-    node = config
-    for key in keys[:-1]:
-        nxt = node.get(key)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[key] = nxt
-        node = nxt
-    node[keys[-1]] = value
-
-
-def resolve_config(path=None, sets=(), workers=None, seed=None,
-                   out=None) -> dict:
-    config = default_config()
-    if path is not None:
-        config = deep_merge(config, load_config(path))
-    for expr in sets:
-        apply_set(config, expr)
-    if workers is not None:
-        config["run"]["workers"] = workers
-    if seed is not None:
-        config["run"]["seed"] = seed
-    if out is not None:
-        config["run"]["out"] = out
-    _check_keys(config)
-    if config["run"]["workers"] is None:
-        config["run"]["workers"] = _worker_count(
-            os.environ.get("ODEBC_WORKERS", "1"), "ODEBC_WORKERS")
-    config["run"]["workers"] = _worker_count(config["run"]["workers"], "run.workers")
-    return config
-
-
 # The largest solver grid and plan, in steps.
 MAX_STEPS = 100_000
 
-
-def _count(value, source: str) -> None:
-    require_integer(value, source, minimum=0)
-
-
-def _steps(value, source: str) -> None:
-    require_integer(value, source, minimum=0, maximum=MAX_STEPS)
+_COUNT = partial(require_integer, minimum=0)
+_POSITIVE = partial(require_integer, minimum=1)
+_STEPS = partial(require_integer, minimum=0, maximum=MAX_STEPS)
 
 
 def _text(value, source: str) -> None:
@@ -194,72 +58,171 @@ def _sizes(value, source: str) -> None:
 
 def _solver_entries(value, source: str) -> None:
     for i, entry in enumerate(_nonempty_list(value, source)):
-        _check_section(entry, _SOLVER_KEYS, f"{source}[{i}]")
+        _check_section(entry, SCHEMA["solver"], f"{source}[{i}]")
 
 
-def _worker_count(value, source: str) -> int:
-    """An integer >= 1; strings (the environment) must spell one."""
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
-    return require_integer(value, source, minimum=1)
-
-
-# The check of every key of the sections whose keys DEFAULTS fixes (world
-# specs are checked by worldgen.world_from_spec).
-_SOLVER_KEYS = {
-    "kind": _text, "steps": _steps, "noise_seed": require_integer,
-    "total_steps": _steps, "beta_1": require_number, "beta_t": require_number,
-}
-_KEYS = {
-    "solver": _SOLVER_KEYS,
+# Every key of the sections other than `world`, as key -> (default, check);
+# world specs are checked by worldgen.world_from_spec.
+SCHEMA = {
+    "solver": {
+        "kind": ("ddim", _text),
+        "steps": (50, _STEPS),
+        "noise_seed": (0, require_integer),
+        "total_steps": (1000, _STEPS),
+        "beta_1": (1e-4, require_number),
+        "beta_t": (0.02, require_number),
+    },
     "search": {
-        "candidates": _count, "candidate_seed": require_integer,
-        "references": _count, "reference_seed": require_integer,
-        "n_random": _count,
+        "candidates": (64, _COUNT),
+        "candidate_seed": (7, require_integer),
+        "references": (16, _COUNT),
+        "reference_seed": (11, require_integer),
+        "n_random": (32, _COUNT),
     },
-    "metric": {"name": _text},
+    "metric": {"name": ("l2", _text)},
     "run": {
-        "seed": require_integer, "out": _text,
-        "workers": _optional(_worker_count), "pairs": _count,
-        "pairs_dir": _optional(_text), "test_pairs": _count,
-        "test_seed": require_integer, "holdout": _count,
-        "holdout_seed": require_integer,
-        "solvers": _optional(_solver_entries), "sizes": _optional(_sizes),
-        "repeats": _count, "k_fixed": _count, "conditions": _count,
-        "condition_seed": require_integer, "random_seed": require_integer,
+        "seed": (0, require_integer),
+        "out": ("out", _text),
+        "workers": (1, _POSITIVE),
+        "pairs": (32, _COUNT),
+        "pairs_dir": (None, _optional(_text)),
+        "test_pairs": (8, _COUNT),
+        "test_seed": (2, require_integer),
+        "holdout": (16, _COUNT),
+        "holdout_seed": (13, require_integer),
+        "solvers": (None, _optional(_solver_entries)),
+        "sizes": (None, _optional(_sizes)),
+        "repeats": (8, _POSITIVE),
+        "k_fixed": (200, _COUNT),
+        "conditions": (10, _COUNT),
+        "condition_seed": (5, require_integer),
+        "random_seed": (77, require_integer),
     },
 }
 
+DEFAULTS = {
+    "world": {
+        "shape": [8, 8, 1],
+        "block": 2,
+        "tau": 0.05,
+        "components": [
+            {"weight": 0.9, "std": 0.35,
+             "mean": {"texture": "gradient", "amplitude": 2.0}},
+            # same gradient plus a checker offset that block-averages to
+            # zero: the LR observation can never tell the two modes apart
+            {"weight": 0.1, "std": 0.35,
+             "mean": {"sum": [
+                 {"texture": "gradient", "amplitude": 2.0},
+                 {"texture": "checker", "amplitude": 0.35},
+             ]}},
+        ],
+    },
+    **{section: {key: default for key, (default, _) in keys.items()}
+       for section, keys in SCHEMA.items()},
+}
+SECTIONS = tuple(DEFAULTS)
 
-def _check_section(values, checks: dict, name: str) -> None:
+
+def default_config() -> dict:
+    return copy.deepcopy(DEFAULTS)
+
+
+def load_config(path) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8
+        raise ValidationError(f"malformed config {path}: {exc}") from None
+    if isinstance(data, dict) and "config" in data and "command" in data:
+        data = data["config"]  # a run manifest
+    if not isinstance(data, dict):
+        raise ValidationError(f"config {path} must be a JSON object")
+    unknown = set(data) - set(SECTIONS)
+    if unknown:
+        raise ValidationError(
+            f"config {path}: unknown section(s) {sorted(unknown)}")
+    for name, section in data.items():
+        if not isinstance(section, dict):
+            raise ValidationError(f"config {path}: {name} must be an object, "
+                                  f"got {section!r}")
+    return data
+
+
+def deep_merge(base: dict, override: dict) -> dict:
+    out = copy.deepcopy(base)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = deep_merge(out[key], value)
+        else:
+            out[key] = copy.deepcopy(value)
+    return out
+
+
+def apply_set(config: dict, expr: str) -> None:
+    """Apply one `section.key[.key]=json-value` override in place."""
+    if "=" not in expr:
+        raise ValidationError(f"--set needs section.key=value, got {expr!r}")
+    dotted, _, raw = expr.partition("=")
+    keys = dotted.split(".")
+    if len(keys) < 2 or keys[0] not in SECTIONS:
+        raise ValidationError(
+            f"--set key {dotted!r} must start with one of {SECTIONS}")
+    try:
+        value = json.loads(raw)
+    except ValueError:
+        value = raw  # bare strings are convenient on the command line
+    except RecursionError:
+        raise ValidationError(f"--set {dotted} value is nested too deeply") from None
+    node = config
+    for key in keys[:-1]:
+        nxt = node.get(key)
+        if not isinstance(nxt, dict):
+            nxt = {}
+            node[key] = nxt
+        node = nxt
+    node[keys[-1]] = value
+
+
+def resolve_config(path=None, sets=(), workers=None, seed=None,
+                   out=None) -> dict:
+    config = default_config()
+    if path is not None:
+        config = deep_merge(config, load_config(path))
+    for expr in sets:
+        apply_set(config, expr)
+    for key, value in (("workers", workers), ("seed", seed), ("out", out)):
+        if value is not None:
+            config["run"][key] = value
+    for section, schema in SCHEMA.items():
+        _check_section(config[section], schema, section)
+    return config
+
+
+def _check_section(values, schema: dict, name: str) -> None:
     if not isinstance(values, dict):
         raise ValidationError(f"{name} must be an object, got {values!r}")
-    unknown = sorted(set(values) - set(checks))
+    unknown = sorted(set(values) - set(schema))
     if unknown:
         raise ValidationError(f"unknown {name} key(s) {unknown}")
     for key, value in values.items():
-        checks[key](value, f"{name}.{key}")
-
-
-def _check_keys(config: dict) -> None:
-    """Reject unknown keys and values of the wrong type or range."""
-    for section, checks in _KEYS.items():
-        _check_section(config[section], checks, section)
+        schema[key][1](value, f"{name}.{key}")
 
 
 def build_world(config: dict) -> GmmWorld:
     return world_from_spec(config["world"])
 
 
+def _solver_section(section: dict) -> dict:
+    """A checked solver section; keys it lacks take their defaults."""
+    full = {**DEFAULTS["solver"], **section}
+    _check_section(full, SCHEMA["solver"], "solver")
+    return full
+
+
 def build_schedule(solver_section: dict) -> DiscreteSchedule:
-    return make_linear_vp_schedule(
-        int(solver_section.get("total_steps", 1000)),
-        float(solver_section.get("beta_1", 1e-4)),
-        float(solver_section.get("beta_t", 0.02)),
-    )
+    section = _solver_section(solver_section)
+    return make_linear_vp_schedule(section["total_steps"], section["beta_1"],
+                                   section["beta_t"])
 
 
 _KINDS = {kind.value: kind for kind in SolverKind}
@@ -267,24 +230,23 @@ _KINDS = {kind.value: kind for kind in SolverKind}
 
 def build_solver(solver_section: dict,
                  schedule: DiscreteSchedule | None = None) -> SolverConfig:
-    name = solver_section.get("kind", "ddim")
-    if name not in _KINDS:
+    section = _solver_section(solver_section)
+    if section["kind"] not in _KINDS:
         raise ValidationError(
-            f"solver.kind {name!r} not one of {sorted(_KINDS)}")
-    kind = _KINDS[name]
+            f"solver.kind {section['kind']!r} not one of {sorted(_KINDS)}")
     if schedule is None:
-        schedule = build_schedule(solver_section)
-    steps = int(solver_section.get("steps", 50))
+        schedule = build_schedule(section)
+    kind = _KINDS[section["kind"]]
     if kind is SolverKind.EULER_REF:
-        plan = uniform_continuous_plan(steps)
+        plan = uniform_continuous_plan(section["steps"])
     else:
-        plan = resample_timesteps(schedule, steps)
+        plan = resample_timesteps(schedule, section["steps"])
     return SolverConfig(kind=kind, schedule=schedule, plan=plan,
-                        noise_seed=int(solver_section.get("noise_seed", 0)))
+                        noise_seed=section["noise_seed"])
 
 
 def build_metric(config: dict, world: GmmWorld | None = None) -> Metric:
-    name = config["metric"].get("name", "l2")
+    name = config["metric"]["name"]
     shape = world.shape if world is not None and name == "gradperc" else None
     return get_metric(name, shape=shape)
 

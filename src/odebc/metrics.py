@@ -40,13 +40,21 @@ def _l2_rows(a, b) -> np.ndarray:
     return _row_means((a - b) ** 2)
 
 
-def _psnr_rows(a, b, peak: float = 1.0) -> np.ndarray:
-    # math.log10 per row: numpy's vectorised log10 can differ in the last bit.
-    return np.array([10.0 * math.log10(peak * peak / mse) if mse else math.inf
+def _psnr_rows(a, b) -> np.ndarray:
+    """10 log10(1 / MSE) per row; math.inf is the explicit identical flag.
+
+    math.log10 per row: numpy's vectorised log10 can differ in the last bit.
+    """
+    return np.array([10.0 * math.log10(1.0 / mse) if mse else math.inf
                      for mse in _l2_rows(a, b)])
 
 
 def _gradperc_rows(a, b, shape=None) -> np.ndarray:
+    """Mean squared forward-difference gradient gap plus 0.1x plain L2.
+
+    shape reshapes flat rows to (H, W, C) so the differences run along
+    both spatial axes; without it the rows' own axes are used.
+    """
     a, b = _stack(a, b)
     if shape is not None:
         a = a.reshape((a.shape[0],) + tuple(shape))
@@ -58,30 +66,6 @@ def _gradperc_rows(a, b, shape=None) -> np.ndarray:
         gap = np.diff(a, axis=axis) - np.diff(b, axis=axis)
         total += _row_means(gap**2)
     return total + 0.1 * _row_means((a - b) ** 2)
-
-
-def _one_row(rows_fn, a, b, **kwargs) -> float:
-    a, b = _pair(a, b)
-    return float(rows_fn(a[None], b[None], **kwargs)[0])
-
-
-def l2_distance(a, b) -> float:
-    """Mean over elements of the squared difference."""
-    return _one_row(_l2_rows, a, b)
-
-
-def psnr(a, b, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE); math.inf is the explicit identical flag."""
-    return _one_row(_psnr_rows, a, b, peak=peak)
-
-
-def grad_perceptual_distance(a, b, shape: tuple[int, int, int] | None = None) -> float:
-    """Mean squared forward-difference gradient gap plus 0.1x plain L2.
-
-    shape reshapes flat vectors to (H, W, C) so the differences run along
-    both spatial axes; without it the input's own axes are used.
-    """
-    return _one_row(_gradperc_rows, a, b, shape=shape)
 
 
 def pearson_corr(u, v) -> float:
@@ -113,7 +97,8 @@ class Metric:
         return self._rows(a, b)
 
     def dist(self, a, b) -> float:
-        return _one_row(self._rows, a, b)
+        a, b = _pair(a, b)
+        return float(self._rows(a[None], b[None])[0])
 
 
 def get_metric(name: str, shape: tuple[int, int, int] | None = None) -> Metric:
@@ -176,7 +161,7 @@ def energy_distance_test(
     # Column 0 of labels marks the observed group a, column p the group a of
     # the p-th permutation. For such an indicator z and the row sums r of D
     # (whose diagonal is zero), group a sums z'Dz, the between-group block
-    # z'r - z'Dz and group b the rest, so one product scores every split.
+    # z'r - z'Dz and group b the rest, so one product scores every partition.
     labels = np.zeros((n + m, 1 + n_permutations))
     labels[:n, 0] = 1.0
     for p in range(1, 1 + n_permutations):

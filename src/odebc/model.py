@@ -310,7 +310,7 @@ def _pull(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
     if groups is not None:
         if x.shape[0] % groups:
             raise ShapeMismatchError(
-                f"{x.shape[0]} state rows do not split into {groups} groups")
+                f"{x.shape[0]} state rows do not divide into {groups} groups")
         x = x.reshape(groups, -1, d)
     joint, scaled = _terms(mix, x, alpha, scales, half_logdet)
     resp = np.exp(joint - joint.max(axis=-2, keepdims=True))
@@ -367,10 +367,10 @@ def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
     stacked mixture with B groups of means and weights.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (1, 2) or y.shape[-1] != world.obs_dim:
+    if y.ndim not in (1, 2) or y.shape[-1] != world.obs_dim or not y.size:
         raise ShapeMismatchError(
-            f"y must have shape ({world.obs_dim},) or (B, {world.obs_dim}), "
-            f"got {y.shape}")
+            f"y must have shape ({world.obs_dim},) or (B, {world.obs_dim}) "
+            f"with B >= 1, got {y.shape}")
     pool = world.pooling
     n = pool.size
     s2 = world.stds**2
@@ -410,25 +410,6 @@ class _SolveTable:
         out = self._sigma[i] * _pull(self.mixture, xb, self._alpha[i],
                                      self._scales[i], self._half_logdet[i])
         return out[0] if single else out
-
-
-def _eps_once(mix: Mixture, x, t, s: DiscreteSchedule):
-    """eps through a one-row table; the scalar schedule lookup gives the
-    array lookup's bits in a twentieth of the time."""
-    t = float(t)
-    alpha, sigma, _, _ = s.coeffs(t)
-    table = _SolveTable(mix, (t,), np.array([alpha]), np.array([sigma]))
-    return table.eps(x, t)
-
-
-def eps_conditional(world: GmmWorld, x_t, y, t, s: DiscreteSchedule):
-    """Exact eps-prediction -sigma(t) grad log q_t(x_t | y)."""
-    return _eps_once(conditional_posterior(world, y), x_t, t, s)
-
-
-def eps_unconditional(world: GmmWorld, x_t, t, s: DiscreteSchedule):
-    """Exact eps-prediction under the prior mixture (blank condition)."""
-    return _eps_once(prior_mixture(world), x_t, t, s)
 
 
 class AnalyticDenoiser:
@@ -471,8 +452,14 @@ class AnalyticDenoiser:
     def eps(self, x_t, condition, t):
         if isinstance(condition, _SolveTable):
             return condition.eps(x_t, t)
-        # One time: the one-row case of a prepared solve.
-        return _eps_once(self._mixture(condition), x_t, t, self.schedule)
+        # One time: the one-row case of a prepared solve. The scalar
+        # schedule lookup gives the array lookup's bits in a twentieth of
+        # the time.
+        t = float(t)
+        alpha, sigma, _, _ = self.schedule.coeffs(t)
+        table = _SolveTable(self._mixture(condition), (t,), np.array([alpha]),
+                            np.array([sigma]))
+        return table.eps(x_t, t)
 
 
 class _ZeroDenoiser:

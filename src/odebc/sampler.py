@@ -73,17 +73,15 @@ def _check_state(x) -> np.ndarray:
     return x
 
 
-def ddpm_sample(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
+def _ddpm(model, cfg: SolverConfig, x_t, cond):
     """Ancestral sampling with the lower-bound variance, skipped-step form.
 
     For a transition from step k to k' < k the effective step has
     beta = 1 - abar_k / abar_k' and variance (1 - abar_k')/(1 - abar_k) * beta;
     the final step to k'=0 adds no noise.
     """
-    if cfg.kind is not SolverKind.DDPM_ANCESTRAL:
-        raise PlanMismatchError("config is not DDPM_ANCESTRAL")
     steps = cfg.plan.require_steps()
-    abar = s.alpha_bars
+    abar = cfg.schedule.alpha_bars
     x = _check_state(x_t)
     times = cfg.plan.times
     cond = model.prepare(cond, times[:-1])
@@ -105,12 +103,10 @@ def ddpm_sample(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
     return x
 
 
-def ddim_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
+def _ddim(model, cfg: SolverConfig, x_t, cond):
     """Deterministic update x' = a'(x - s_k eps)/a_k + s' eps on sqrt(abar)."""
-    if cfg.kind is not SolverKind.DDIM:
-        raise PlanMismatchError("config is not DDIM")
     steps = cfg.plan.require_steps()
-    abar = s.alpha_bars
+    abar = cfg.schedule.alpha_bars
     x = _check_state(x_t)
     times = cfg.plan.times
     cond = model.prepare(cond, times[:-1])
@@ -142,12 +138,10 @@ def _dpm2_grid(s: DiscreteSchedule, plan: TimestepPlan):
     )
 
 
-def dpm_solver2_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
+def _dpm2(model, cfg: SolverConfig, x_t, cond):
     """Second-order exponential integrator with a log-SNR midpoint stage."""
-    if cfg.kind is not SolverKind.DPM_SOLVER_2:
-        raise PlanMismatchError("config is not DPM_SOLVER_2")
     x = _check_state(x_t)
-    h, mids, a_ends, a_mids, s_ends, s_mids = _dpm2_grid(s, cfg.plan)
+    h, mids, a_ends, a_mids, s_ends, s_mids = _dpm2_grid(cfg.schedule, cfg.plan)
     times = cfg.plan.times
     cond = model.prepare(cond, np.concatenate([times[:-1], mids]))
     for i in range(cfg.plan.n_transitions):
@@ -160,13 +154,11 @@ def dpm_solver2_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
     return x
 
 
-def euler_reference_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, cond):
+def _euler(model, cfg: SolverConfig, x_t, cond):
     """Explicit Euler on dx/dt = f x + g^2/(2 sigma) eps; the ODE oracle."""
-    if cfg.kind is not SolverKind.EULER_REF:
-        raise PlanMismatchError("config is not EULER_REF")
     x = _check_state(x_t)
     times = cfg.plan.times
-    _, sigma, f, g2 = s.coeffs(times[:-1])
+    _, sigma, f, g2 = cfg.schedule.coeffs(times[:-1])
     gain = g2 / (2.0 * sigma)
     dts = np.diff(times)
     cond = model.prepare(cond, times[:-1])
@@ -177,16 +169,16 @@ def euler_reference_solve(model, s: DiscreteSchedule, cfg: SolverConfig, x_t, co
 
 
 _DISPATCH = {
-    SolverKind.DDPM_ANCESTRAL: ddpm_sample,
-    SolverKind.DDIM: ddim_solve,
-    SolverKind.DPM_SOLVER_2: dpm_solver2_solve,
-    SolverKind.EULER_REF: euler_reference_solve,
+    SolverKind.DDPM_ANCESTRAL: _ddpm,
+    SolverKind.DDIM: _ddim,
+    SolverKind.DPM_SOLVER_2: _dpm2,
+    SolverKind.EULER_REF: _euler,
 }
 
 
 def run_solver(model, cfg: SolverConfig, x_t, cond):
-    """Dispatch any configured solver, stochastic ones included."""
-    return _DISPATCH[cfg.kind](model, cfg.schedule, cfg, x_t, cond)
+    """Run any configured solver, stochastic ones included."""
+    return _DISPATCH[cfg.kind](model, cfg, x_t, cond)
 
 
 def project(model, cfg: SolverConfig, x_t, cond):

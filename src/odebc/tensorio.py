@@ -6,6 +6,7 @@ load bit-identically on another.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def read_tensor(path) -> np.ndarray:
         raise ValidationError(f"{path}: truncated header, rank {rank} without its dims")
     dims = struct.unpack_from(f"<{rank}I", blob, offset)
     offset += 4 * rank
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)  # a Python int: an int64 product can wrap
     payload = blob[offset:]
     if len(payload) != 8 * count:
         raise ValidationError(

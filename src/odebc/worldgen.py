@@ -156,17 +156,6 @@ def sample_pairs(world: GmmWorld, n: int, seed: int):
     return [sample_pair(world, seed, i) for i in range(n)]
 
 
-def split(pairs, ratio: float, seed: int):
-    """Seeded shuffle, then cut at round-half-up of ratio * len."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValidationError("split ratio must lie in [0, 1]")
-    order = generator(seed, 0).permutation(len(pairs))
-    cut = int(np.floor(ratio * len(pairs) + 0.5))
-    reference = [pairs[i] for i in order[:cut]]
-    holdout = [pairs[i] for i in order[cut:]]
-    return reference, holdout
-
-
 def save_pairs(directory, pairs, seed: int) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -184,11 +173,17 @@ def save_pairs(directory, pairs, seed: int) -> None:
 
 def load_pairs(directory):
     directory = Path(directory)
+    index = directory / "pairs.csv"
+    try:
+        with open(index, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"malformed {index}: {exc}") from None
     pairs = []
-    with open(directory / "pairs.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            pairs.append((
-                read_tensor(directory / row["z_path"]),
-                read_tensor(directory / row["y_path"]),
-            ))
+    for i, row in enumerate(rows):
+        names = (row.get("z_path"), row.get("y_path"))
+        if not all(isinstance(n, str) and n and "\0" not in n for n in names):
+            raise ValidationError(f"{index} row {i + 1} needs a z_path and a "
+                                  "y_path")
+        pairs.append(tuple(read_tensor(directory / n) for n in names))
     return pairs

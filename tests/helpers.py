@@ -51,6 +51,17 @@ def image_world(height=4, width=4, channels=1, block=2, n_comp=3, tau=0.05,
     )
 
 
+def split(pairs, ratio: float, seed: int):
+    """Seeded shuffle, then cut at round-half-up of ratio * len."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValidationError("split ratio must lie in [0, 1]")
+    order = generator(seed, 0).permutation(len(pairs))
+    cut = int(np.floor(ratio * len(pairs) + 0.5))
+    reference = [pairs[i] for i in order[:cut]]
+    holdout = [pairs[i] for i in order[cut:]]
+    return reference, holdout
+
+
 def block_pool_matrix(height: int, width: int, channels: int, block: int) -> np.ndarray:
     """Block-average pooling as a dense (m, d) matrix, row-major layout."""
     if height % block or width % block:

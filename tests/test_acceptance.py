@@ -24,7 +24,6 @@ from odebc.model import (
     BLANK,
     AnalyticDenoiser,
     conditional_posterior,
-    eps_conditional,
     mixture_log_density,
     mixture_sample,
     prior_mixture,
@@ -46,6 +45,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 def test_criterion_1_score_matches_finite_differences():
     t0 = time.perf_counter()
     world = flat_world(seed=7)
+    model = AnalyticDenoiser(world, SCHED)
     rng = np.random.default_rng(1)
     worst = 0.0
     for i in range(100):
@@ -63,7 +63,7 @@ def test_criterion_1_score_matches_finite_differences():
             e[j] = h
             fd[j] = (mixture_log_density(mix_t, x + e)
                      - mixture_log_density(mix_t, x - e)) / (2 * h)
-        eps = eps_conditional(world, x, y, t, SCHED)
+        eps = model.eps(x, y, t)
         worst = max(worst, float(np.linalg.norm(-eps / sigma - fd)
                                  / np.linalg.norm(fd)))
     secs = time.perf_counter() - t0

@@ -138,17 +138,6 @@ def test_ablate_reference_size_guards():
     with pytest.raises(ValidationError):
         ablate_reference_size(world, pool, [8], 2, 4, ddim(10), L2, seed=1,
                               holdout_pairs=pool[:1])
-    with pytest.raises(ValidationError):
-        ablate_reference_size(world, pool[:1], [1], 2, 4, ddim(10), L2,
-                              seed=1)
-
-
-def test_ablate_reference_size_carves_holdout():
-    world = flat_world()
-    pool = [sample_pair(world, 33, i) for i in range(8)]
-    curve = ablate_reference_size(world, pool, [1, 6], 2, 6, ddim(10), L2,
-                                  seed=9)
-    assert curve.per_repeat.shape == (2, 2)
 
 
 def test_ablate_candidate_size_prefix_consistency():
@@ -162,16 +151,6 @@ def test_ablate_candidate_size_prefix_consistency():
     alone = ablate_candidate_size(world, refs, [8], 2, ddim(20), L2,
                                   seed=66, holdout_pairs=hold, workers=4)
     np.testing.assert_array_equal(full.per_repeat[2], alone.per_repeat[0])
-
-
-def test_ablate_candidate_size_carves_holdout():
-    world = flat_world()
-    refs = [sample_pair(world, 35, i) for i in range(8)]
-    curve = ablate_candidate_size(world, refs, [2, 4], 2, ddim(10), L2,
-                                  seed=66)
-    assert curve.per_repeat.shape == (2, 2)
-    with pytest.raises(ValidationError):
-        ablate_candidate_size(world, refs[:1], [2], 2, ddim(10), L2, seed=6)
 
 
 def test_independence_matrix_structure():

@@ -13,9 +13,10 @@ from odebc.bcsearch import (
     STATE_BUDGET,
     CandidateSet,
     ReferenceSet,
+    distance_table,
     held_out_gain,
-    objective,
     objective_table,
+    row_sums,
     search_optimal_bc,
     _tasks,
 )
@@ -39,6 +40,14 @@ L2 = get_metric("l2")
 
 def ddim_cfg(n):
     return SolverConfig(SolverKind.DDIM, SCHED, resample_timesteps(SCHED, n))
+
+
+def objective(bc, refs, cfg, model, metric):
+    """(sum, per-reference distances) of one candidate, through the search's
+    own path: a one-row distance table and its row sum."""
+    bc = np.asarray(bc, dtype=np.float64)
+    table = distance_table(bc[None], refs, cfg, model, metric)
+    return float(row_sums(table)[0]), table[0].tolist()
 
 
 def dpm2_cfg(n):

@@ -26,7 +26,6 @@ def _run(args, stdout):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    env.pop("ODEBC_WORKERS", None)
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True)
 

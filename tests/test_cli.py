@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odebc import cli
 from odebc.config import (
@@ -47,22 +53,44 @@ def test_deep_merge_and_set():
 
 
 def test_resolve_workers_env(monkeypatch):
+    # run.workers (default 1) and --workers are the only sources; the
+    # environment plays no part.
     monkeypatch.setenv("ODEBC_WORKERS", "5")
-    assert resolve_config()["run"]["workers"] == 5
-    assert resolve_config(workers=2)["run"]["workers"] == 2
-    monkeypatch.delenv("ODEBC_WORKERS")
     assert resolve_config()["run"]["workers"] == 1
+    assert resolve_config(workers=2)["run"]["workers"] == 2
     with pytest.raises(ValidationError):
         resolve_config(workers=0)
 
 
-def test_config_file_errors(tmp_path):
+def _one_error_line(capsys, args) -> str:
+    """Run the CLI; assert exit 1 with one `error:` line and return it."""
+    capsys.readouterr()
+    code = cli.run(args)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"world": 3')
     assert cli.run(["search", "--config", str(bad)]) == 1
     wrong = tmp_path / "wrong.json"
     wrong.write_text('{"universe": {}}')
     assert cli.run(["search", "--config", str(wrong)]) == 1
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"run": {"out": "caf\xe9"}}'.encode("latin-1"))
+    huge = tmp_path / "huge.json"  # past Python's int-parsing digit limit
+    huge.write_text('{"search": {"candidates": 1' + "0" * 5000 + "}}")
+    for path in (latin1, huge):
+        err = _one_error_line(capsys, ["search", "--config", str(path)])
+        assert err.startswith("error: malformed config")
+    scalar = tmp_path / "scalar.json"  # a section that is not an object
+    scalar.write_text('{"run": 5}')
+    err = _one_error_line(capsys, ["search", "--config", str(scalar),
+                                   "--out", str(tmp_path / "o")])
+    assert "run must be an object" in err
 
 
 def test_build_solver_kinds():
@@ -293,14 +321,10 @@ def test_truncated_tensor_is_validation_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_non_integer_workers_rejected(tmp_path, monkeypatch, capsys):
+def test_non_integer_workers_rejected(tmp_path, capsys):
     base = ["search", *SMALL_WORLD, "--set", "search.candidates=2",
             "--set", "search.references=1", "--set", "run.holdout=0"]
-    monkeypatch.setenv("ODEBC_WORKERS", "abc")
-    assert cli.run([*base, "--out", str(tmp_path / "env")]) == 1
-    assert "ODEBC_WORKERS" in capsys.readouterr().err
-    monkeypatch.delenv("ODEBC_WORKERS")
-    for i, bad in enumerate((2.5, "x", True)):
+    for i, bad in enumerate((2.5, "x", True, None)):
         config = tmp_path / f"workers{i}.json"
         config.write_text(json.dumps({"run": {"workers": bad}}))
         assert cli.run([*base, "--config", str(config),
@@ -358,6 +382,10 @@ def test_unknown_keys_and_fractional_counts_rejected(tmp_path, capsys):
      "unknown run.solvers[0] key(s) ['stpes']"),
     ("ablate-k", 'run.sizes=["a"]', "run.sizes[0] must be an integer >= 1"),
     ("ablate-k", "run.sizes=5", "run.sizes must be a non-empty list"),
+    ("ablate-k", "run.repeats=0", "run.repeats must be an integer >= 1"),
+    ("ablate-r", "run.repeats=0", "run.repeats must be an integer >= 1"),
+    pytest.param("search", "search.candidates=1" + "0" * 5000,
+                 "search.candidates must be an integer", id="5000-digits"),
 ])
 def test_bad_config_values_rejected(tmp_path, capsys, command, expr, message):
     code = cli.run([command, "--out", str(tmp_path), "--set", expr])
@@ -365,3 +393,96 @@ def test_bad_config_values_rejected(tmp_path, capsys, command, expr, message):
     assert code == 1
     assert err.startswith(f"error: {message}"), err
     assert err.count("\n") == 1
+
+
+def _pairs_dir(path, index=b"index,z_path,y_path\n0,z.t,y.t\n", z=None):
+    """A run.pairs_dir holding `index` as pairs.csv next to one (z, y) pair
+    of SMALL_WORLD, and the search arguments that read it."""
+    path.mkdir()
+    (path / "pairs.csv").write_bytes(index)
+    write_tensor(path / "y.t", np.zeros(4))
+    if z is None:
+        write_tensor(path / "z.t", np.zeros(16))
+    else:
+        (path / "z.t").write_bytes(z)
+    return ["search", *SMALL_WORLD, "--set", f"run.pairs_dir={json.dumps(str(path))}",
+            "--set", "search.candidates=2", "--set", "search.references=1",
+            "--set", "run.holdout=0"]
+
+
+def test_malformed_pairs_csv_rejected(tmp_path, capsys):
+    cases = {
+        "no_z_path": b"index,z,y_path\n0,z.t,y.t\n",
+        "short_row": b"index,z_path,y_path\n0,z.t\n",
+        "latin1": "index,z_path,y_path\n0,z\xe9.t,y.t\n".encode("latin-1"),
+    }
+    for name, index in cases.items():
+        args = _pairs_dir(tmp_path / name, index)
+        _one_error_line(capsys, [*args, "--out", str(tmp_path / f"out_{name}")])
+    args = _pairs_dir(tmp_path / "ok")
+    assert cli.run([*args, "--out", str(tmp_path / "out_ok")]) == 0
+
+
+def test_malformed_sample_inputs_rejected(tmp_path, capsys):
+    bc, y = tmp_path / "bc.t", tmp_path / "y.t"
+    write_tensor(bc, np.zeros(16))
+    write_tensor(y, np.zeros(4))
+    wraps = tmp_path / "wraps.t"  # 2^64 values: an int64 product is 0
+    wraps.write_bytes(b"ODBC1" + struct.pack("<5I", 4, *[65536] * 4))
+    stack = tmp_path / "stack.t"  # projects, but renders no one image
+    write_tensor(stack, np.zeros((2, 16)))
+    no_rows = tmp_path / "no_rows.t"
+    write_tensor(no_rows, np.zeros((0, 4)))
+    huge = tmp_path / "huge.t"  # finite, but overflows the solver
+    write_tensor(huge, np.full(16, 1e300))
+    cases = [(wraps, y, []), (bc, wraps, []), (stack, y, ["--render"]),
+             (bc, no_rows, []), (huge, y, [])]
+    for i, (bc_path, y_path, extra) in enumerate(cases):
+        _one_error_line(capsys, ["sample", *SMALL_WORLD, "--out",
+                                 str(tmp_path / f"s{i}"), "--bc", str(bc_path),
+                                 "--y", str(y_path), *extra])
+
+
+TENSOR_BYTES = st.builds(
+    lambda dims, payload: (b"ODBC1" + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+                           + payload),
+    st.lists(st.sampled_from([0, 1, 2, 4, 16, 65536]), max_size=4),
+    st.binary(max_size=16) | st.sampled_from(
+        [np.full(n, v).tobytes() for n in (1, 4, 8, 16, 32) for v in (1.0, 1e300)]),
+)
+PAIRS_CSV = st.lists(
+    st.lists(st.sampled_from(["0", "z.t", "y.t", "", ".", "\x00", "\xe9"])
+             | st.text(max_size=3), max_size=4), max_size=3,
+).map(lambda rows: "\n".join(",".join(row) for row in
+                             [["index", "z_path", "y_path"], *rows]).encode())
+INPUT_BYTES = {"bc": TENSOR_BYTES, "y": TENSOR_BYTES, "pairs.csv": PAIRS_CSV,
+               "z.t": TENSOR_BYTES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_input_files_end_cleanly(data):
+    """Any bytes as `sample --bc`, `--y`, a pairs.csv or a pair tensor: exit
+    0, or 1 or 2 with one line on stderr; never a traceback."""
+    which = data.draw(st.sampled_from(sorted(INPUT_BYTES)), label="file")
+    blob = data.draw(INPUT_BYTES[which] | st.binary(max_size=200), label="bytes")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        if which == "pairs.csv":
+            args = _pairs_dir(tmp / "pairs", index=blob)
+        elif which == "z.t":
+            args = _pairs_dir(tmp / "pairs", z=blob)
+        else:
+            files = {"bc": tmp / "bc.t", "y": tmp / "y.t"}
+            write_tensor(files["bc"], np.zeros(16))
+            write_tensor(files["y"], np.zeros(4))
+            files[which].write_bytes(blob)
+            args = ["sample", *SMALL_WORLD, "--bc", str(files["bc"]),
+                    "--y", str(files["y"]), "--render"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run([*args, "--out", str(tmp / "out")])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (1 if code else 0), lines

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from odebc import errors
 from odebc.config import (
     DEFAULTS,
-    _KEYS,
     build_metric,
     build_schedule,
     build_solver,
@@ -52,11 +51,6 @@ def _taken_or_rejected(key, value):
         build_metric(config, world)
     except PACKAGE_ERRORS:
         pass
-
-
-def test_checked_keys_are_the_defaults():
-    assert {section: set(keys) for section, keys in _KEYS.items()} == \
-        {section: set(DEFAULTS[section]) for section in _KEYS}
 
 
 @pytest.mark.parametrize("key", KEYS)

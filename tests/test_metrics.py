@@ -15,12 +15,13 @@ from odebc.metrics import (
     _distance_matrix,
     energy_distance_test,
     get_metric,
-    grad_perceptual_distance,
-    l2_distance,
     pearson_corr,
-    psnr,
 )
 from odebc.rng import generator
+
+L2 = get_metric("l2")
+PSNR = get_metric("psnr")  # negated: -10 log10(1 / MSE)
+GRADPERC = get_metric("gradperc")
 
 finite_arrays = hnp.arrays(
     dtype=np.float64,
@@ -30,42 +31,40 @@ finite_arrays = hnp.arrays(
 
 
 def test_l2_basics():
-    assert l2_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert l2_distance([0.0, 0.0], [2.0, 0.0]) == 2.0
+    assert L2.dist([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert L2.dist([0.0, 0.0], [2.0, 0.0]) == 2.0
     rng = generator(0, 0)
     a, b = rng.standard_normal(17), rng.standard_normal(17)
     naive = sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)) / 17
-    assert l2_distance(a, b) == pytest.approx(naive, rel=1e-12)
+    assert L2.dist(a, b) == pytest.approx(naive, rel=1e-12)
     with pytest.raises(ShapeMismatchError):
-        l2_distance([1.0], [1.0, 2.0])
+        L2.dist([1.0], [1.0, 2.0])
 
 
 def test_psnr_values():
     a = np.array([0.5, 0.5])
-    assert math.isinf(psnr(a, a))  # the identical flag
-    assert psnr(np.array([1.0, 1.0]), np.array([0.0, 0.0]), peak=1.0) == 0.0
+    assert PSNR.dist(a, a) == -math.inf  # the identical flag
+    assert PSNR.dist(np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 0.0
     rng = generator(1, 0)
     x, y = rng.uniform(size=9), rng.uniform(size=9)
     mse = np.mean((x - y) ** 2)
-    assert psnr(x, y, peak=2.0) == pytest.approx(10 * math.log10(4.0 / mse))
+    assert -PSNR.dist(x, y) == pytest.approx(10 * math.log10(1.0 / mse))
 
 
 def test_grad_perceptual():
     rng = generator(2, 0)
     img = rng.standard_normal((4, 4, 1))
-    assert grad_perceptual_distance(img, img) == 0.0
+    assert GRADPERC.dist(img, img) == 0.0
     # Constant shift: gradients match, only the 0.1 L2 term remains.
-    assert grad_perceptual_distance(img, img + 0.7) == pytest.approx(
-        0.1 * 0.49, rel=1e-12
-    )
+    assert GRADPERC.dist(img, img + 0.7) == pytest.approx(0.1 * 0.49, rel=1e-12)
     other = rng.standard_normal((4, 4, 1))
     rows = np.mean((np.diff(img, axis=0) - np.diff(other, axis=0)) ** 2)
     cols = np.mean((np.diff(img, axis=1) - np.diff(other, axis=1)) ** 2)
     want = rows + cols + 0.1 * np.mean((img - other) ** 2)
-    assert grad_perceptual_distance(img, other) == pytest.approx(want, rel=1e-12)
+    assert GRADPERC.dist(img, other) == pytest.approx(want, rel=1e-12)
     # Flat input with a shape hint behaves like the image.
-    assert grad_perceptual_distance(
-        img.ravel(), other.ravel(), shape=(4, 4, 1)
+    assert get_metric("gradperc", shape=(4, 4, 1)).dist(
+        img.ravel(), other.ravel()
     ) == pytest.approx(want, rel=1e-12)
 
 
@@ -123,13 +122,9 @@ def test_metric_rows_equal_scalar_form_on_each_row(shape):
     stack = rng.standard_normal((5, dim))
     targets = rng.standard_normal((5, dim))
     stack[2] = targets[2]  # an identical row: psnr's inf flag
-    scalar = {
-        "l2": l2_distance,
-        "psnr": lambda a, b: -psnr(a, b),
-        "gradperc": lambda a, b: grad_perceptual_distance(a, b, shape),
-    }
-    for name, fn in scalar.items():
+    for name in ("l2", "psnr", "gradperc"):
         metric = get_metric(name, shape=shape)
+        fn = metric.dist
         np.testing.assert_array_equal(
             metric.rows(stack, targets), [fn(a, b) for a, b in zip(stack, targets)])
         np.testing.assert_array_equal(
@@ -141,7 +136,8 @@ def test_metric_rows_equal_scalar_form_on_each_row(shape):
 def test_get_metric_registry():
     assert get_metric("l2").name == "l2"
     a, b = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-    assert get_metric("psnr").dist(a, b) == pytest.approx(-psnr(a, b))
+    mse = np.mean((a - b) ** 2)
+    assert get_metric("psnr").dist(a, b) == pytest.approx(-10 * math.log10(1.0 / mse))
     with pytest.raises(ValidationError):
         get_metric("lpips")
 

@@ -31,8 +31,6 @@ from odebc.model import (
     BlockPooling,
     GmmWorld,
     conditional_posterior,
-    eps_conditional,
-    eps_unconditional,
     mixture_log_density,
     mixture_sample,
     mixture_score,
@@ -248,7 +246,7 @@ def test_eps_single_gaussian_closed_form():
         alpha, sigma = float(s.alpha(t)), float(s.sigma(t))
         cov = dense_covariance(post.diffused(alpha, sigma), 0)
         want = sigma * np.linalg.solve(cov, x - alpha * post.means[0])
-        np.testing.assert_allclose(eps_conditional(world, x, y, t, s), want,
+        np.testing.assert_allclose(AnalyticDenoiser(world, s).eps(x, y, t), want,
                                    rtol=1e-9)
 
 
@@ -258,7 +256,7 @@ def test_eps_unconditional_standard_normal_world():
     x = np.array([0.3, -1.2, 2.0, 0.0])
     for t in [0.0, 0.5, 1.0]:
         sigma = float(s.sigma(t))
-        np.testing.assert_allclose(eps_unconditional(world, x, t, s),
+        np.testing.assert_allclose(AnalyticDenoiser(world, s).eps(x, BLANK, t),
                                    sigma * x, rtol=1e-12, atol=1e-15)
 
 
@@ -266,7 +264,7 @@ def test_eps_approaches_identity_at_noise_boundary():
     world = flat_world()
     s = make_linear_vp_schedule(1000, 1e-4, 0.02)
     x = generator(13, 0).standard_normal(8)
-    eps = eps_unconditional(world, x, 1.0, s)
+    eps = AnalyticDenoiser(world, s).eps(x, BLANK, 1.0)
     assert np.linalg.norm(eps - x) <= 0.05 * np.linalg.norm(x)
 
 
@@ -332,10 +330,10 @@ def test_analytic_denoiser_caches_and_matches():
     rng = generator(30, 0)
     y = world.degrade(world.means[0])
     x = rng.standard_normal(world.dim)
-    np.testing.assert_array_equal(den.eps(x, y, 0.3),
-                                  eps_conditional(world, x, y, 0.3, s))
-    np.testing.assert_array_equal(den.eps(x, BLANK, 0.3),
-                                  eps_unconditional(world, x, 0.3, s))
+    # One time matches the same time of a prepared solve, to the bit.
+    for cond in (y, BLANK):
+        np.testing.assert_array_equal(
+            den.eps(x, cond, 0.3), den.eps(x, den.prepare(cond, [0.9, 0.3]), 0.3))
     den.eps(x, y, 0.5)
     assert len(den._posteriors) == 1  # same condition, one cache entry
 
@@ -354,11 +352,10 @@ def test_batched_and_single_agree():
     s = make_linear_vp_schedule(1000, 1e-4, 0.02)
     y = world.degrade(world.means[1])
     x = generator(40, 0).standard_normal((5, 8))
-    batched = eps_conditional(world, x, y, 0.7, s)
+    den = AnalyticDenoiser(world, s)
+    batched = den.eps(x, y, 0.7)
     for i in range(5):
-        np.testing.assert_allclose(
-            eps_conditional(world, x[i], y, 0.7, s), batched[i], rtol=1e-12
-        )
+        np.testing.assert_allclose(den.eps(x[i], y, 0.7), batched[i], rtol=1e-12)
 
 
 @pytest.mark.parametrize("shape,block", [((8, 8, 1), 2), ((6, 6, 3), 3),

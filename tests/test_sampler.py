@@ -21,9 +21,6 @@ from odebc.rng import generator
 from odebc.sampler import (
     SolverConfig,
     SolverKind,
-    ddim_solve,
-    ddpm_sample,
-    dpm_solver2_solve,
     project,
     run_solver,
 )
@@ -59,7 +56,7 @@ def test_ddim_telescoping_zero_model():
     exact = math.sqrt(SCHED.alpha_bars[0] / SCHED.alpha_bars[999]) * x
     for n_points in [2, 50, 1000]:
         cfg = cfg_for(SolverKind.DDIM, resample_timesteps(SCHED, n_points))
-        out = ddim_solve(zd, SCHED, cfg, x, BLANK)
+        out = run_solver(zd, cfg, x, BLANK)
         assert np.max(np.abs(out / exact - 1.0)) < 1e-12
 
 
@@ -67,9 +64,8 @@ def test_dpm2_matches_ddim_on_zero_model():
     zd = zero_denoiser()
     x = generator(9, 0).standard_normal(4)
     plan = resample_timesteps(SCHED, 25)
-    a = ddim_solve(zd, SCHED, cfg_for(SolverKind.DDIM, plan), x, BLANK)
-    b = dpm_solver2_solve(zd, SCHED, cfg_for(SolverKind.DPM_SOLVER_2, plan),
-                          x, BLANK)
+    a = run_solver(zd, cfg_for(SolverKind.DDIM, plan), x, BLANK)
+    b = run_solver(zd, cfg_for(SolverKind.DPM_SOLVER_2, plan), x, BLANK)
     np.testing.assert_allclose(b, a, rtol=1e-10)
 
 
@@ -127,7 +123,7 @@ def test_ddpm_single_step_affine_map():
     zd = zero_denoiser()
     x = generator(11, 0).standard_normal(5)
     cfg = cfg_for(SolverKind.DDPM_ANCESTRAL, resample_timesteps(SCHED, 2))
-    out = ddpm_sample(zd, SCHED, cfg, x, BLANK)
+    out = run_solver(zd, cfg, x, BLANK)
     a_k, a_0 = SCHED.alpha_bars[999], SCHED.alpha_bars[0]
     beta = 1.0 - a_k / a_0
     coef = (math.sqrt(a_0) * beta / (1.0 - a_k) / math.sqrt(a_k)
@@ -141,7 +137,7 @@ def test_ddpm_noise_stream_is_positional():
     x = generator(12, 0).standard_normal(3)
     plan = resample_timesteps(SCHED, 3)  # steps [999, 500, 0]
     cfg = cfg_for(SolverKind.DDPM_ANCESTRAL, plan, seed=77)
-    out = ddpm_sample(den, SCHED, cfg, x, BLANK)
+    out = run_solver(den, cfg, x, BLANK)
     # Replay by hand: one draw at transition 0, none on the final step.
     abar = SCHED.alpha_bars
     state = x
@@ -165,11 +161,11 @@ def test_ddpm_repeatable_and_seed_sensitive():
     x = generator(14, 0).standard_normal(4)
     plan = resample_timesteps(SCHED, 50)
     cfg = cfg_for(SolverKind.DDPM_ANCESTRAL, plan, seed=5)
-    a = ddpm_sample(den, SCHED, cfg, x, BLANK)
-    b = ddpm_sample(den, SCHED, cfg, x, BLANK)
+    a = run_solver(den, cfg, x, BLANK)
+    b = run_solver(den, cfg, x, BLANK)
     np.testing.assert_array_equal(a, b)
-    other = ddpm_sample(
-        den, SCHED, cfg_for(SolverKind.DDPM_ANCESTRAL, plan, seed=6), x, BLANK)
+    other = run_solver(
+        den, cfg_for(SolverKind.DDPM_ANCESTRAL, plan, seed=6), x, BLANK)
     assert np.any(other != a)
 
 
@@ -191,7 +187,7 @@ def test_ddpm_full_plan_matches_prior_moments():
     x_t = generator(60, 0).standard_normal((n, 2))
     cfg = cfg_for(SolverKind.DDPM_ANCESTRAL, resample_timesteps(SCHED, 1000),
                   seed=123)
-    out = ddpm_sample(den, SCHED, cfg, x_t, BLANK)
+    out = run_solver(den, cfg, x_t, BLANK)
     mean, cov = prior_moments(world)
     mc_sigma = np.sqrt(np.diag(cov) / n)
     assert np.all(np.abs(out.mean(axis=0) - mean) < 6 * mc_sigma)
@@ -215,9 +211,8 @@ def test_ddpm_and_ddim_share_marginals():
     den = AnalyticDenoiser(world, SCHED)
     n = 2500
     plan = resample_timesteps(SCHED, 1000)
-    a = ddpm_sample(den, SCHED,
-                    cfg_for(SolverKind.DDPM_ANCESTRAL, plan, seed=1),
-                    generator(62, 0).standard_normal((n, 2)), BLANK)
+    a = run_solver(den, cfg_for(SolverKind.DDPM_ANCESTRAL, plan, seed=1),
+                   generator(62, 0).standard_normal((n, 2)), BLANK)
     b = run_solver(den, cfg_for(SolverKind.DDIM, plan),
                    generator(62, 1).standard_normal((n, 2)), BLANK)
     res = energy_distance_test(a, b, n_permutations=200, seed=4, max_points=800)
@@ -231,9 +226,9 @@ def test_project_dispatch_and_guards():
     y = world.degrade(world.means[0])
     cfg = cfg_for(SolverKind.DDIM, resample_timesteps(SCHED, 20))
     np.testing.assert_array_equal(project(den, cfg, x, y),
-                                  ddim_solve(den, SCHED, cfg, x, y))
+                                  run_solver(den, cfg, x, y))
     np.testing.assert_array_equal(project(den, cfg, x, BLANK),
-                                  ddim_solve(den, SCHED, cfg, x, BLANK))
+                                  run_solver(den, cfg, x, BLANK))
     assert np.any(project(den, cfg, x, y) != project(den, cfg, x, BLANK))
     with pytest.raises(ValidationError):
         project(den, cfg_for(SolverKind.DDPM_ANCESTRAL,
@@ -265,7 +260,6 @@ def test_deterministic_solvers_never_draw():
         project(den, cfg_for(kind, resample_timesteps(SCHED, 15)), x, y)
     project(den, euler_cfg(1000), x, y)
     assert rng.draw_count() == 0
-    ddpm_sample(den, SCHED,
-                cfg_for(SolverKind.DDPM_ANCESTRAL, resample_timesteps(SCHED, 5)),
-                x, BLANK)
+    run_solver(den, cfg_for(SolverKind.DDPM_ANCESTRAL, resample_timesteps(SCHED, 5)),
+               x, BLANK)
     assert rng.draw_count() > 0

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from helpers import image_world
+from helpers import image_world, split
 from odebc.errors import ValidationError
 from odebc.tensorio import read_tensor, write_tensor
 from odebc.worldgen import (
     load_pairs,
     sample_pairs,
     save_pairs,
-    split,
     texture_mean,
     world_from_spec,
 )
