@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, ValidationError
 from .metrics import Metric
+from .model import AnalyticDenoiser, reduce_conditions
 from .rng import gauss
 from .sampler import SolverConfig, project
 
@@ -75,35 +76,20 @@ class SearchResult:
 # Rows per candidate chunk. A constant, never derived from the worker count
 # or from K, so a row's chunk and hence its bits never depend on either.
 CHUNK = 64
-# State elements per projection: references are stacked into one solve
-# until its (B n, d) state would pass this. eps cost per row rises beyond
-# it (and peak memory with it), so the few larger solves do not pay.
-STATE_BUDGET = 4096
 
 
-def _tasks(n_rows: int, n_refs: int, dim: int) -> list[tuple[int, range]]:
-    """(first row, reference block) per projection: chunks of up to CHUNK
-    rows, each paired with blocks of up to STATE_BUDGET // (rows * dim)
-    references (at least one)."""
-    tasks = []
-    for start in range(0, n_rows, CHUNK):
-        rows = min(CHUNK, n_rows - start)
-        width = max(1, STATE_BUDGET // (rows * dim))
-        tasks += [(start, range(first, min(first + width, n_refs)))
-                  for first in range(0, n_refs, width)]
-    return tasks
-
-
-def distance_table(stack, refs: ReferenceSet, solver: SolverConfig, model,
-                   metric: Metric, workers: int = 1) -> np.ndarray:
+def distance_table(stack, refs: ReferenceSet, solver: SolverConfig,
+                   model: AnalyticDenoiser, metric: Metric,
+                   workers: int = 1) -> np.ndarray:
     """n x R table of metric(project(stack[k], y_i), z_i).
 
-    Each task stacks one chunk of up to CHUNK rows under a block of B
-    references: one projection of a (B rows, d) state with the (B, k)
-    stack of their observations as the condition, then one row-wise metric
-    call per reference. Tasks write their cells by index, and the blocks
-    depend only on (n, R, d), so the table is bit-identical for any
-    `workers`.
+    The R observations are reduced once (`reduce_conditions`). Each task
+    takes one chunk of up to CHUNK rows: one projection of its (R rows, m)
+    reduced state with the reduction as the condition, then, one reference
+    at a time, the lifted (rows, d) block and one row-wise metric call.
+    Tasks write their cells by index and run under the caller's
+    floating-point error settings; the chunks depend only on n, so the
+    table is bit-identical for any `workers`.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 2 or stack.shape[1:] != refs.pairs[0][0].shape:
@@ -111,24 +97,24 @@ def distance_table(stack, refs: ReferenceSet, solver: SolverConfig, model,
             f"stack shape {stack.shape} is not (n,) + reference HR shape "
             f"{refs.pairs[0][0].shape}")
     table = np.empty((stack.shape[0], len(refs)))
+    reduction = reduce_conditions(model.world, np.stack([y for _, y in refs.pairs]))
+    errors = np.geterr()
 
-    def task(cell):
-        start, block = cell
-        rows = stack[start:start + CHUNK]
-        n = rows.shape[0]
-        ys = np.stack([refs.pairs[i][1] for i in block])
-        out = project(model, solver, np.tile(rows, (len(block), 1)), ys)
-        for g, i in enumerate(block):
-            table[start:start + n, i] = metric.rows(
-                out[g * n:(g + 1) * n], refs.pairs[i][0])
+    def task(start):
+        with np.errstate(**errors):
+            rows = stack[start:start + CHUNK]
+            states, lift = reduction.reduce(rows)
+            end = project(model, solver, states, reduction)
+            for i, (z, _) in enumerate(refs.pairs):
+                table[start:start + len(rows), i] = metric.rows(lift(end, i), z)
 
-    cells = _tasks(stack.shape[0], len(refs), stack.shape[1])
+    starts = range(0, stack.shape[0], CHUNK)
     if workers <= 1:
-        for cell in cells:
-            task(cell)
+        for start in starts:
+            task(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, cells))
+            list(pool.map(task, starts))
     return table
 
 

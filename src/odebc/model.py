@@ -9,15 +9,13 @@ variances per component instead of a d x d matrix, and P x is "block-sum,
 scale, copy back": a posterior costs O(J d) to build and eps O(J n d) for n
 rows. Both the prior and the conditional posterior stay Gaussian mixtures
 in closed form, so the exact score (and hence an exact eps-prediction
-"denoiser") is available at every noise level. The posterior variances do
-not depend on the observation, so a (B, k) stack of observations gives one
-mixture with B groups of means and weights and shared variances; eps on it
-takes a (B n, d) state whose B consecutive row groups each see their own
-observation. When P = I (block 1) the quadratic form has one part. A
-solve looks up its whole time grid once, through `prepare`, and owns that
-table; denoisers cache only posteriors. Everything here is pure and
-immutable after construction, which is what lets projections run on any
-number of workers.
+"denoiser") is available at every noise level. When P = I (block 1) the
+quadratic form has one part. A `Reduction` writes the posteriors of R
+observations in at most 2J + 3 coordinates per state row, in which the
+deterministic solvers run unchanged. A solve looks up its whole time grid
+once, through `prepare`, and owns that table; denoisers cache only
+posteriors. Everything here is pure and immutable after construction, which
+is what lets projections run on any number of workers.
 """
 
 from __future__ import annotations
@@ -176,10 +174,11 @@ class Mixture:
     """Gaussian mixture with covariances lam_perp[j] (I - P) + lam_par[j] P.
 
     P is the projector of `pooling`; for flat worlds P = I and lam_perp
-    plays no part. The prior is the case lam_perp == lam_par. A stacked
-    mixture has a leading group axis on `log_w` (B, J) and `means`
-    (B, J, d): B mixtures that share the variances (J,), evaluated on B
-    consecutive row groups of one state.
+    plays no part. The prior is the case lam_perp == lam_par. The posterior
+    of a (B, k) stack of observations is stacked: a leading group axis on
+    `log_w` (B, J) and `means` (B, J, d), with shared variances (J,). Only
+    `reduce_conditions` reads one; the functions on states take an
+    unstacked mixture.
     """
 
     log_w: np.ndarray
@@ -214,13 +213,25 @@ class Mixture:
     @cached_property
     def _undiffused(self):
         """The coefficients of the mixture itself, (alpha, sigma) = (1, 0)."""
-        scales, half_logdet = _coefficients(self, np.ones(1), np.zeros(1))
+        scales, half_logdet = self._coefficients(np.ones(1), np.zeros(1))
         return scales[0], half_logdet[0]
 
-    @property
-    def groups(self) -> int | None:
-        """B for a stacked mixture, None for a plain one."""
-        return self.log_w.shape[0] if self.log_w.ndim == 2 else None
+    def _coefficients(self, alpha: np.ndarray, sigma: np.ndarray):
+        """`_variances` of the mixture as the scales (1/A_j, gap_j), with
+        gap_j = (1/C_j - 1/A_j) / b^2; when P = I the second is 1/C_j
+        itself, the scale of the one part."""
+        scales, half_logdet = _variances(self._lams, self._parts, alpha, sigma)
+        if self.pooling.block > 1:
+            scales[..., 1] = (scales[..., 1] - scales[..., 0]) / self.pooling.size
+        return scales, half_logdet
+
+    def _pull(self, x: np.ndarray, alpha: float, scales, half_logdet):
+        """Minus the score of the diffused mixture at rows x (n, d):
+        sum_j r_j C_j^-1 v_j, with C_j^-1 v = v / A + S^T (gap S v)."""
+        out = _responsibility_sum(*_terms(self, x, alpha, scales, half_logdet))
+        if self.pooling.block > 1:
+            out = self.pooling.spread_add(out[..., :self.dim], out[..., self.dim:])
+        return out
 
     def diffused(self, alpha: float, sigma: float) -> "Mixture":
         """Mixture of alpha-scaled components convolved with sigma^2 noise."""
@@ -243,9 +254,9 @@ def _as_batch(x: np.ndarray, dim: int):
 
 
 def _unstacked(mix: Mixture, operation: str) -> None:
-    if mix.groups is not None:
+    if mix.log_w.ndim > 1:
         raise ShapeMismatchError(f"{operation} needs an unstacked mixture, "
-                                 f"got {mix.groups} groups")
+                                 f"got {mix.log_w.shape[0]} groups")
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -255,70 +266,54 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))
 
 
-def _coefficients(mix: Mixture, alpha: np.ndarray, sigma: np.ndarray):
-    """(scales (n, J, 2), log|C_j|/2 (n, J, 1)) at the n times (alpha, sigma).
-
-    A_j, C_j are the diffused (perp, par) variances, with eigenspaces of
-    dimension d - k and k. The scales are (1/A_j, gap_j), with
-    gap_j = (1/C_j - 1/A_j) / b^2; when P = I the second is 1/C_j itself,
-    the scale of the one part. Neither depends on the means or weights.
-    """
-    d, k = mix._parts
-    var = np.multiply.outer(alpha * alpha, mix._lams) \
-        + (sigma * sigma)[:, None, None]
+def _variances(lams: np.ndarray, parts: tuple[int, int], alpha, sigma):
+    """(1 / (A_j, C_j) (n, J, 2), log|C_j|/2 (n, J, 1)) at the n times
+    (alpha, sigma): the diffused (perp, par) variances of `lams` (J, 2),
+    whose eigenspaces have dimensions d - k and k for `parts` (d, k).
+    Neither depends on the means or weights."""
+    d, k = parts
+    var = np.multiply.outer(alpha * alpha, lams) + (sigma * sigma)[:, None, None]
     logs = np.log(var)
     half_logdet = 0.5 * ((d - k) * logs[..., 0] + k * logs[..., 1])
-    scales = 1.0 / var
-    if mix.pooling.block > 1:
-        scales[..., 1] = (scales[..., 1] - scales[..., 0]) / mix.pooling.size
-    return scales, half_logdet[..., None]
+    return 1.0 / var, half_logdet[..., None]
+
+
+def _quadratic(x: np.ndarray, means: np.ndarray, base: np.ndarray,
+               alpha: float, scales: np.ndarray):
+    """Per-component pieces of a mixture with diagonal covariances at rows
+    x (..., n, m): (joint (..., J, n), the difference scaled by `scales`).
+    joint[j] = base_j - |x - alpha m_j|^2 / 2, each coordinate's square
+    weighted by its scale; `means` is (..., J, 1, m), `base` (..., J, 1),
+    `scales` (J, m) or (J, 1)."""
+    diff = x[..., None, :, :] - alpha * means
+    scaled = diff * scales[:, None, :]
+    return base - 0.5 * np.einsum("...jnd,...jnd->...jn", scaled, diff), scaled
+
+
+def _responsibility_sum(joint: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """sum_j r_j scaled_j, with r_j the softmax of `joint` over components."""
+    resp = np.exp(joint - joint.max(axis=-2, keepdims=True))
+    resp /= resp.sum(axis=-2, keepdims=True)
+    return np.einsum("...jn,...jnd->...nd", resp, scaled)
 
 
 def _terms(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
-    """Per-component pieces of the (alpha, sigma)-diffused mixture at rows x.
+    """`_quadratic` of the (alpha, sigma)-diffused mixture at rows x (n, d).
 
-    x is (n, d), or (B, n, d) for a mixture of B groups; `scales` and
-    `half_logdet` are one time's rows of `_coefficients`. With
+    `scales` and `half_logdet` are one time's rows of `_coefficients`. With
     v_j = x - alpha m_j, |P v|^2 = |S v|^2 / b^2 gives the quadratic form
     |v|^2 / A + gap |S v|^2. Both parts are computed at once on the
     augmented difference [v_j, S v_j]; when P = I the form is |v|^2 / C on
-    v_j alone. Returns (joint (..., J, n), the difference scaled by its
-    scales); joint[j] is log w_j + log N_j(x) without the -d/2 log(2 pi)
+    v_j alone. joint[j] is log w_j + log N_j(x) without the -d/2 log(2 pi)
     that all components share.
     """
     if mix.pooling.block == 1:
-        diff = x[..., None, :, :] - alpha * mix._aug_means
-        scaled = diff * scales[:, 1:, None]
+        augmented, scales = x, scales[:, 1:]
     else:
         augmented = np.concatenate([x, mix.pooling.sums(x)], axis=-1)
-        diff = augmented[..., None, :, :] - alpha * mix._aug_means
-        scaled = diff * np.repeat(scales, mix._parts, axis=1)[:, None, :]
-    base = mix._log_w_rows - half_logdet
-    joint = base - 0.5 * np.einsum("...jnd,...jnd->...jn", scaled, diff)
-    return joint, scaled
-
-
-def _pull(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
-    """Minus the score of the diffused mixture: sum_j r_j C_j^-1 v_j.
-
-    C_j^-1 v = v / A + S^T (gap S v); r_j are the responsibilities. x is
-    (rows, d); a mixture of B groups splits the rows into B equal,
-    consecutive groups.
-    """
-    d = mix.dim
-    groups = mix.groups
-    if groups is not None:
-        if x.shape[0] % groups:
-            raise ShapeMismatchError(
-                f"{x.shape[0]} state rows do not divide into {groups} groups")
-        x = x.reshape(groups, -1, d)
-    joint, scaled = _terms(mix, x, alpha, scales, half_logdet)
-    resp = np.exp(joint - joint.max(axis=-2, keepdims=True))
-    resp /= resp.sum(axis=-2, keepdims=True)
-    out = np.einsum("...jn,...jnd->...nd", resp, scaled)
-    if mix.pooling.block > 1:
-        out = mix.pooling.spread_add(out[..., :d], out[..., d:])
-    return out.reshape(-1, d)
+        scales = np.repeat(scales, mix._parts, axis=1)
+    return _quadratic(augmented, mix._aug_means, mix._log_w_rows - half_logdet,
+                      alpha, scales)
 
 
 def mixture_log_density(mix: Mixture, x):
@@ -331,8 +326,9 @@ def mixture_log_density(mix: Mixture, x):
 
 def mixture_score(mix: Mixture, x):
     """Gradient of log density, sum_j r_j C_j^-1 (m_j - x)."""
+    _unstacked(mix, "mixture_score")
     xb, single = _as_batch(x, mix.dim)
-    out = -_pull(mix, xb, 1.0, *mix._undiffused)
+    out = -mix._pull(xb, 1.0, *mix._undiffused)
     return out[0] if single else out
 
 
@@ -386,20 +382,165 @@ def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
                    lam_par=s2 * world.tau**2 / g, pooling=pool)
 
 
+# A remainder at or below this, relative to the vectors it came from, adds
+# no direction to a reduction: equal means, or an observation whose S^T y
+# lies in span{P mu_j}.
+RANK_TOL = 1e-12
+
+
+def _squares(v: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of v (..., d)."""
+    return np.einsum("...d,...d->...", v, v)
+
+
+def _outside(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Rows v (..., d) less their part in the span of the orthonormal rows
+    of `frame`, removed twice for orthogonality to working precision."""
+    for _ in range(2):
+        v = v - np.einsum("...s,sd->...d", np.einsum("...d,sd->...s", v, frame),
+                          frame)
+    return v
+
+
+def _frame(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of `vectors` (J, d), by
+    Gram-Schmidt in row order; a remainder at or below RANK_TOL times the
+    longest row adds no row."""
+    tol = RANK_TOL * math.sqrt(_squares(vectors).max())
+    frame = vectors[:0]
+    for v in vectors:
+        rest = _outside(v, frame)
+        norm = math.sqrt(_squares(rest))
+        if norm > tol:
+            frame = np.concatenate([frame, rest[None] / norm])
+    return frame
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """The posteriors of R observations of one world in reduced coordinates.
+
+    U = span{(I - P) mu_j} is the same for every observation, because
+    (I - P) S^T = 0. The P part of each posterior mean of observation y_r
+    lies in span{P mu_j} plus one direction w_r: the part of S^T y_r
+    outside span{P mu_j} (zero when there is none). With orthonormal rows
+    Q_U and Q_V for the two spans, a state row x has the coordinates
+    [Q_U x, Q_V x, w_r . x] and two residual norms: p of (I - P) x outside
+    U, and q of P x outside the span of Q_V and w_r. In these m <= 2J + 3
+    numbers, component j is a diagonal Gaussian: variance A_j along Q_U and
+    p, C_j along the rest, mean 0 along p and q; its log-determinant keeps
+    the sizes (d - k, k). The residual directions never turn, and every
+    deterministic solver step is linear in (x, eps), so a solve of the
+    reduced rows is the solve of x; `reduce` gives both ends of that map.
+
+    As the condition of `AnalyticDenoiser`, a reduction takes an (R n, m)
+    state: R consecutive groups of n rows, group r under observation r.
+    """
+
+    frame: np.ndarray  # (s, d): the rows of Q_U, then those of Q_V
+    n_perp: int  # rows of Q_U
+    directions: np.ndarray  # (R, d): w_r, or 0
+    pooling: BlockPooling
+    log_w: np.ndarray  # (R, J)
+    means: np.ndarray  # (R, J, m): the posterior means' coordinates
+    lams: np.ndarray  # (J, 2): the posterior (perp, par) variances
+
+    @property
+    def dim(self) -> int:
+        """m, the numbers per reduced state row."""
+        return self.means.shape[-1]
+
+    def _coefficients(self, alpha: np.ndarray, sigma: np.ndarray):
+        """`_variances`, each coordinate's inverse variance in its column."""
+        inverse, half_logdet = _variances(
+            self.lams, (self.pooling.dim, self.pooling.obs_dim), alpha, sigma)
+        kinds = np.repeat([0, 1, 1, 0, 1], [self.n_perp,
+                                            len(self.frame) - self.n_perp, 1, 1, 1])
+        return inverse[..., kinds], half_logdet
+
+    def _pull(self, x: np.ndarray, alpha: float, scales, half_logdet):
+        """Minus the score at (R n, m) reduced state rows."""
+        states = x.reshape(len(self.log_w), -1, self.dim)
+        out = _responsibility_sum(*_quadratic(
+            states, self.means[:, :, None], self.log_w[..., None] - half_logdet,
+            alpha, scales))
+        return out.reshape(x.shape)
+
+    def reduce(self, x: np.ndarray):
+        """Rows x (K, d) under every observation: (the (R K, m) reduced
+        state, lift). lift(end, r) is the (K, d) rows that group r of `end`,
+        a solve's result, stands for."""
+        pool, frame, u = self.pooling, self.frame, self.n_perp
+        par = pool.spread_add(np.zeros_like(x), pool.sums(x) / pool.size)
+        coords = np.einsum("kd,sd->ks", x, frame)
+        rest_p = x - par - np.einsum("ku,ud->kd", coords[:, :u], frame[:u])
+        rest_q = par - np.einsum("kv,vd->kd", coords[:, u:], frame[u:])
+        along = np.einsum("kd,rd->rk", rest_q, self.directions)
+        p = np.sqrt(_squares(rest_p))
+        q = np.sqrt(np.maximum(_squares(rest_q) - along * along, 0.0))
+        n_refs, n_rows = along.shape
+        states = np.concatenate([
+            np.broadcast_to(coords, (n_refs,) + coords.shape), along[..., None],
+            np.broadcast_to(p[:, None], (n_refs, n_rows, 1)), q[..., None]],
+            axis=2).reshape(n_refs * n_rows, -1)
+
+        def lift(end, r):
+            rows = end.reshape(n_refs, n_rows, -1)[r]
+            w = self.directions[r]
+            return (np.einsum("ks,sd->kd", rows[:, :-3], frame)
+                    + rows[:, -3, None] * w
+                    + _ratio(rows[:, -2], p)[:, None] * rest_p
+                    + _ratio(rows[:, -1], q[r])[:, None]
+                    * (rest_q - along[r, :, None] * w))
+
+        return states, lift
+
+
+def reduce_conditions(world: GmmWorld, ys: np.ndarray) -> Reduction:
+    """The `Reduction` of the observations ys (R, k) of `world`."""
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2:
+        raise ShapeMismatchError(
+            f"ys must have shape (R, {world.obs_dim}), got {ys.shape}")
+    post = conditional_posterior(world, ys)
+    pool = world.pooling
+    par_means = pool.spread_add(np.zeros_like(world.means),
+                                pool.sums(world.means) / pool.size)
+    perp, par = _frame(world.means - par_means), _frame(par_means)
+    lifted = pool.spread_add(np.zeros((len(ys), world.dim)), ys)
+    rest = _outside(lifted, par)
+    norm = np.sqrt(_squares(rest))
+    directions = np.divide(rest, norm[:, None], out=np.zeros_like(rest),
+                           where=(norm > RANK_TOL * np.sqrt(_squares(lifted)))[:, None])
+    frame = np.concatenate([perp, par])
+    means = np.concatenate([
+        np.einsum("rjd,sd->rjs", post.means, frame),
+        np.einsum("rjd,rd->rj", post.means, directions)[..., None],
+        np.zeros(post.log_w.shape + (2,))], axis=2)
+    return Reduction(frame=frame, n_perp=len(perp), directions=directions,
+                     pooling=pool, log_w=post.log_w, means=means,
+                     lams=post._lams)
+
+
 class _SolveTable:
     """A condition prepared for the times of one solve.
 
-    Holds the condition's mixture, a map from each time to its row, and
-    (alpha, sigma) and the `_coefficients` at every row, all found in one
-    vectorised pass.
+    Holds the condition's mixture (a `Mixture` or a `Reduction`), a map
+    from each time to its row, and (alpha, sigma) and the mixture's
+    `_coefficients` at every row, all found in one vectorised pass.
     """
 
-    def __init__(self, mix: Mixture, times, alpha, sigma):
+    def __init__(self, mix, times, alpha, sigma):
         self.mixture = mix
         self._rows = {t: i for i, t in enumerate(times)}
         self._alpha = alpha
         self._sigma = sigma
-        self._scales, self._half_logdet = _coefficients(mix, alpha, sigma)
+        self._scales, self._half_logdet = mix._coefficients(alpha, sigma)
 
     def eps(self, x, t):
         i = self._rows.get(t)
@@ -407,18 +548,19 @@ class _SolveTable:
             raise ValidationError(f"t={t} is not a time this condition "
                                   "was prepared for")
         xb, single = _as_batch(x, self.mixture.dim)
-        out = self._sigma[i] * _pull(self.mixture, xb, self._alpha[i],
-                                     self._scales[i], self._half_logdet[i])
+        out = self._sigma[i] * self.mixture._pull(
+            xb, self._alpha[i], self._scales[i], self._half_logdet[i])
         return out[0] if single else out
 
 
 class AnalyticDenoiser:
     """eps(x_t, condition, t) backed by the exact world score.
 
-    A condition is BLANK, one observation (k,), or a (B, k) stack of them
-    for a (B n, d) state; or what `prepare` made of one for a solve. Pure
-    given (world, schedule): posteriors are cached by condition value, so
-    repeated calls from any thread return identical results.
+    A condition is BLANK, one observation (k,), or a `Reduction` of R
+    observations for an (R n, m) reduced state; or what `prepare` made of
+    one for a solve. Pure given (world, schedule): posteriors are cached by
+    condition value, so repeated calls from any thread return identical
+    results.
     """
 
     def __init__(self, world: GmmWorld, s: DiscreteSchedule):
@@ -427,12 +569,15 @@ class AnalyticDenoiser:
         self._prior = prior_mixture(world)
         self._posteriors: dict[bytes, Mixture] = {}
 
-    def _mixture(self, condition) -> Mixture:
+    def _mixture(self, condition):
         if condition is BLANK:
             return self._prior
+        if isinstance(condition, Reduction):
+            return condition
         y = np.ascontiguousarray(np.asarray(condition, dtype=np.float64))
-        # (k,) and (1, k) share an entry: one group gives the same bits
-        # with or without the group axis.
+        if y.ndim != 1:
+            raise ShapeMismatchError(f"a condition y must have shape "
+                                     f"({self.world.obs_dim},), got {y.shape}")
         key = y.tobytes()
         mix = self._posteriors.get(key)
         if mix is None:

@@ -6,14 +6,14 @@ zero, and the model provides two methods on normalized time. A solve first
 calls prepare(cond, times) once with every time it will visit, and then
 eps(x, prepared, t) at each step, for t among those times; a model with
 nothing to look up per time returns cond from prepare unchanged. A condition
-may be a (B, k) stack of observations: the (B n, d) state then splits into
-B equal, consecutive row groups, each conditioned on its own observation,
-and one solve carries all of them (the state stays 2-D). DDPM draws one
-noise tensor for the whole state, so its stacked rows are not the rows of
-B separate runs; the deterministic solvers' are, to the bit. The three
-deterministic solvers are pure functions of their inputs; DDPM derives its
-noise from (seed, transition index) with a counter-based generator, so its
-output never depends on evaluation order either.
+may be a `model.Reduction` of R observations: the state is then R equal,
+consecutive row groups of reduced coordinates, each conditioned on its own
+observation, and one solve carries all of them (the state stays 2-D). The
+solvers see only rows, and their deterministic steps are linear in
+(x, eps). The three deterministic solvers are pure functions of their
+inputs; DDPM derives its noise from (seed, transition index) with a
+counter-based generator, so its output never depends on evaluation order
+either.
 """
 
 from __future__ import annotations

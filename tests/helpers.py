@@ -183,9 +183,9 @@ def dense_score(mix: DenseMixture, x: np.ndarray) -> np.ndarray:
 
 
 def two_part_eps(mix, s: DiscreteSchedule, x, t) -> np.ndarray:
-    """eps of a (possibly stacked) mixture at one time t, from the
-    quadratic form |v|^2 / A + gap |S v|^2 on the augmented difference
-    [v, S v], gap = (1/C - 1/A) / b^2. For block > 1 this is the package's
+    """eps of a mixture at one time t, from the quadratic form
+    |v|^2 / A + gap |S v|^2 on the augmented difference [v, S v],
+    gap = (1/C - 1/A) / b^2. For block > 1 this is the package's
     arithmetic, operation for operation; for P = I it keeps the second
     part that the package folds into one."""
     pool = mix.pooling
@@ -199,8 +199,6 @@ def two_part_eps(mix, s: DiscreteSchedule, x, t) -> np.ndarray:
     scales[:, 1] = (scales[:, 1] - scales[:, 0]) / pool.size
     x = np.asarray(x, dtype=np.float64)
     rows = x.reshape(-1, d)
-    if mix.groups is not None:
-        rows = rows.reshape(mix.groups, -1, d)
     means = np.concatenate([mix.means, pool.sums(mix.means)], axis=-1)
     augmented = np.concatenate([rows, pool.sums(rows)], axis=-1)
     diff = augmented[..., None, :, :] - alpha * means[..., None, :]

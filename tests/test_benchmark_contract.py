@@ -4,13 +4,16 @@ and its set-up probe builds the workload.
 
 The benchmark files are imported read-only; a CLI change that breaks
 `--workers 1`, `resolve_config(..., workers=1)`, an output file or one of
-verify's four printed checks fails here.
+verify's four printed checks fails here. So does a change to what the
+traced run counts: the state rows of every `sampler.run_solver` call must
+add up to the workload's `rows`, in the workload's number of solves.
 """
 
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -20,6 +23,8 @@ sys.path.insert(0, BENCH)
 
 import checks  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+
+from odebc import cli, sampler  # noqa: E402
 
 
 def _run(args, stdout):
@@ -50,3 +55,33 @@ def test_setup_probe_builds_the_workload(name):
     assert proc.returncode == 0, proc.stderr
     _, origin = proc.stdout.split()
     assert origin.startswith(SRC + os.sep)
+
+
+@pytest.mark.parametrize("name,solves", [("search-8x8", 3),
+                                         ("independence-32x32", 1)])
+def test_traced_rows_and_invariants_at_another_seed(name, solves, tmp_path,
+                                                    monkeypatch, capsys):
+    # In process, with `run_solver` wrapped wherever odebc holds it, as the
+    # benchmark's tracer does: a padded or re-routed solve fails here, and
+    # so does a near-tie argmin that the checker's sums would break
+    # differently.
+    workload = WORKLOADS[name]
+    rows = []
+    run_solver = sampler.run_solver
+
+    def counting(model, cfg, x_t, cond):
+        shape = np.shape(x_t)
+        rows.append(shape[0] if len(shape) == 2 else 1)
+        return run_solver(model, cfg, x_t, cond)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("odebc")]:
+        if getattr(module, "run_solver", None) is run_solver:
+            monkeypatch.setattr(module, "run_solver", counting)
+    monkeypatch.chdir(ROOT)
+    out_dir = str(tmp_path / "out")
+    assert cli.run(workload.argv(7, out_dir)) == 0
+    assert sum(rows) == workload.rows
+    assert len(rows) == solves
+    stdout_path = tmp_path / "stdout.txt"
+    stdout_path.write_text(capsys.readouterr().out)
+    assert checks.check_run(workload, 7, out_dir, str(stdout_path), None) == []

@@ -423,6 +423,21 @@ def test_malformed_pairs_csv_rejected(tmp_path, capsys):
     assert cli.run([*args, "--out", str(tmp_path / "out_ok")]) == 0
 
 
+def test_overflowing_pair_fails_on_any_worker_count(tmp_path, capsys):
+    # z = 1e300 overflows the distance. Table tasks on pool threads keep
+    # the floating-point error settings of `cli.run`, so --workers 2 ends
+    # like --workers 1: one error line, no table.
+    for workers in (1, 2):
+        pairs = tmp_path / f"pairs{workers}"
+        args = _pairs_dir(pairs)
+        write_tensor(pairs / "z.t", np.full(16, 1e300))
+        out = tmp_path / f"out{workers}"
+        err = _one_error_line(capsys, [*args, "--workers", str(workers),
+                                       "--out", str(out)])
+        assert "overflow" in err
+        assert not (out / "objective_table.csv").exists()
+
+
 def test_malformed_sample_inputs_rejected(tmp_path, capsys):
     bc, y = tmp_path / "bc.t", tmp_path / "y.t"
     write_tensor(bc, np.zeros(16))
