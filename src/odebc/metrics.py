@@ -112,20 +112,35 @@ def get_metric(name: str, shape: tuple[int, int, int] | None = None) -> Metric:
     raise ValidationError(f"unknown metric {name!r}")
 
 
-def _distance_matrix(x: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of x, (N, d) -> (N, N).
+# Pooled rows per block of the energy test's distances.
+BLOCK = 64
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances from the rows of x to those of y, (n, d) and
+    (m, d) -> (n, m).
 
     Squared gaps are summed one coordinate at a time in place, in the order
     scipy's cdist sums them, so the result is the same to the bit; memory is
-    the N x N output plus one N x N temporary.
+    the n x m output plus one n x m temporary.
     """
-    out = np.zeros((x.shape[0], x.shape[0]))
+    out = np.zeros((x.shape[0], y.shape[0]))
     gap = np.empty_like(out)
-    for col in x.T:
-        np.subtract(col[:, None], col[None, :], out=gap)
+    for cx, cy in zip(x.T, y.T):
+        np.subtract(cx[:, None], cy[None, :], out=gap)
         np.multiply(gap, gap, out=gap)
         out += gap
     return np.sqrt(out, out=out)
+
+
+def _points(x) -> np.ndarray:
+    """Samples as (n, d) points; 1-D input is n points of dimension 1."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2:
+        raise ValidationError(f"samples must be 1-D or 2-D, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -144,31 +159,46 @@ def energy_distance_test(
 ) -> EnergyTestResult:
     """Two-sample energy-distance permutation test.
 
-    Groups larger than max_points are subsampled (seeded) so the pooled
-    distance matrix stays small; the permutation null reuses that matrix.
+    a and b are (n, d) and (m, d) samples; 1-D samples are points of
+    dimension 1. Groups larger than max_points are subsampled (seeded), and
+    each group needs at least 2 points after that. The pooled distances are
+    formed BLOCK rows at a time and scored under the observed split and every
+    permutation at once, so memory is O(BLOCK N + N n_permutations) for
+    N = n + m pooled points, never N x N.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    a, b = _points(a), _points(b)
     if a.shape[1] != b.shape[1]:
         raise ShapeMismatchError("samples must share dimensionality")
+    if min(a.shape[0], b.shape[0], max_points) < 2:
+        raise ValidationError(
+            f"energy test needs at least 2 points per group, got "
+            f"{a.shape[0]} and {b.shape[0]} with max_points={max_points}")
+    if n_permutations < 0:
+        raise ValidationError(
+            f"n_permutations must be >= 0, got {n_permutations}")
     rng = generator(seed, 0)
     if a.shape[0] > max_points:
         a = a[rng.choice(a.shape[0], size=max_points, replace=False)]
     if b.shape[0] > max_points:
         b = b[rng.choice(b.shape[0], size=max_points, replace=False)]
     n, m = a.shape[0], b.shape[0]
-    dmat = _distance_matrix(np.concatenate([a, b], axis=0))
+    pooled = np.concatenate([a, b], axis=0)
     # Column 0 of labels marks the observed group a, column p the group a of
     # the p-th permutation. For such an indicator z and the row sums r of D
     # (whose diagonal is zero), group a sums z'Dz, the between-group block
-    # z'r - z'Dz and group b the rest, so one product scores every partition.
+    # z'r - z'Dz and group b the rest, so one product per block of D's rows
+    # scores every partition.
     labels = np.zeros((n + m, 1 + n_permutations))
     labels[:n, 0] = 1.0
     for p in range(1, 1 + n_permutations):
         labels[rng.permutation(n + m)[:n], p] = 1.0
-    rows = dmat.sum(axis=1)
+    rows = np.empty(n + m)
+    sum_a = np.zeros(1 + n_permutations)
+    for i in range(0, n + m, BLOCK):
+        block = _distances(pooled[i:i + BLOCK], pooled)
+        rows[i:i + BLOCK] = block.sum(axis=1)
+        sum_a += np.einsum("ip,ip->p", labels[i:i + BLOCK], block @ labels)
     total = rows.sum()
-    sum_a = np.einsum("ip,ip->p", labels, dmat @ labels)
     between = rows @ labels - sum_a
     sum_b = total - 2.0 * between - sum_a
     stats = (2.0 * between / (n * m)

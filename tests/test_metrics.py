@@ -1,6 +1,8 @@
 """Distance metrics, Pearson correlation, energy-distance test."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from scipy.spatial.distance import cdist
 from helpers import energy_test_oracle
 from odebc.errors import ShapeMismatchError, ValidationError
 from odebc.metrics import (
-    _distance_matrix,
+    BLOCK,
+    _distances,
     energy_distance_test,
     get_metric,
     pearson_corr,
@@ -172,8 +175,12 @@ def test_energy_test_subsamples_deterministically():
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
 def test_distance_matrix_equals_cdist(dim):
-    x = 3.0 * generator(dim, 2).standard_normal((257, dim))
-    np.testing.assert_array_equal(_distance_matrix(x), cdist(x, x))
+    # Every block of pooled rows, the partial last one included (257 rows).
+    x = 3.0 * generator(dim, 2).standard_normal((4 * BLOCK + 1, dim))
+    want = cdist(x, x)
+    for i in range(0, x.shape[0], BLOCK):
+        np.testing.assert_array_equal(_distances(x[i:i + BLOCK], x),
+                                      want[i:i + BLOCK])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
@@ -194,3 +201,47 @@ def test_energy_test_matches_per_permutation_oracle(dim):
         # so its rounding is relative to the size of those means.
         scale = cdist(a, b).mean()
         assert abs(got.statistic - want.statistic) <= 1e-12 * scale
+
+
+def test_energy_test_reads_1d_samples_as_points():
+    a = generator(6, 0).standard_normal(50)
+    b = generator(6, 1).standard_normal(50) + 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = energy_distance_test(a, b, n_permutations=50, seed=2)
+    assert got == energy_distance_test(a[:, None], b[:, None],
+                                       n_permutations=50, seed=2)
+    assert got.n_per_group == 50
+
+
+@pytest.mark.parametrize("shape_a, shape_b, kwargs", [
+    ((1, 2), (30, 2), {}),
+    ((30, 2), (1, 2), {}),
+    ((30, 2), (30, 2), {"max_points": 1}),
+    ((30, 2), (30, 2), {"max_points": 0}),
+    ((30, 2), (30, 2), {"n_permutations": -1}),
+    ((30, 2, 2), (30, 2, 2), {}),
+])
+def test_energy_test_rejects_bad_inputs(shape_a, shape_b, kwargs):
+    a = generator(7, 0).standard_normal(shape_a)
+    b = generator(7, 1).standard_normal(shape_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            energy_distance_test(a, b, **kwargs)
+
+
+@pytest.mark.parametrize("n, dim, perms, limit_mb", [
+    (600, 2, 200, 6.0),     # verify's marginal check; 22 MB with an N x N D
+    (2000, 8, 300, 24.0),   # the default max_points; 245 MB with an N x N D
+])
+def test_energy_test_memory_is_blocked(n, dim, perms, limit_mb):
+    a = generator(8, 0).standard_normal((n, dim))
+    b = generator(8, 1).standard_normal((n, dim))
+    tracemalloc.start()
+    try:
+        energy_distance_test(a, b, n_permutations=perms, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
