@@ -231,11 +231,11 @@ def test_energy_test_rejects_bad_inputs(shape_a, shape_b, kwargs):
             energy_distance_test(a, b, **kwargs)
 
 
-@pytest.mark.parametrize("n, dim, perms, limit_mb", [
-    (600, 2, 200, 6.0),     # verify's marginal check; 22 MB with an N x N D
-    (2000, 8, 300, 24.0),   # the default max_points; 245 MB with an N x N D
+@pytest.mark.parametrize("n, dim, perms, limit_mib", [
+    (600, 2, 200, 6),     # verify's marginal check; 22 MiB with an N x N D
+    (2000, 8, 300, 24),   # the default max_points; 244 MiB with an N x N D
 ])
-def test_energy_test_memory_is_blocked(n, dim, perms, limit_mb):
+def test_energy_test_memory_is_blocked(n, dim, perms, limit_mib):
     a = generator(8, 0).standard_normal((n, dim))
     b = generator(8, 1).standard_normal((n, dim))
     tracemalloc.start()
@@ -244,4 +244,4 @@ def test_energy_test_memory_is_blocked(n, dim, perms, limit_mb):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < limit_mb * 1e6
+    assert peak < limit_mib * 2**20
