@@ -163,6 +163,9 @@ def independence_matrix(world: GmmWorld, conditions, candidates: CandidateSet,
     if len(conditions) < 2:
         raise ValidationError("independence needs at least 2 conditions, "
                               f"got {len(conditions)}")
+    if candidates.size < 2:
+        raise ValidationError("independence needs at least 2 candidates, "
+                              f"got {candidates.size}")
     refs = ReferenceSet(tuple(conditions), "independence")
     model = AnalyticDenoiser(world, solver.schedule)
     table = objective_table(candidates, refs, solver, model, metric, workers)

@@ -478,15 +478,16 @@ def _build_parser() -> _Parser:
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # Extreme input values that overflow the maths end as an error,
-        # not as numpy warnings followed by non-finite output.
+        # Extreme input values that overflow the maths, numpy's or Python's
+        # float arithmetic, end as an error, not as numpy warnings followed
+        # by non-finite output or a traceback.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ValidationError, ShapeMismatchError, PlanMismatchError,
             NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         print(f"error: the inputs overflow the computation ({exc})",
               file=sys.stderr)
         return 1

@@ -112,21 +112,24 @@ def get_metric(name: str, shape: tuple[int, int, int] | None = None) -> Metric:
     raise ValidationError(f"unknown metric {name!r}")
 
 
-# Pooled rows per block of the energy test's distances.
+# The energy test scores tiles of BLOCK pooled rows by TILE pooled columns.
 BLOCK = 64
+TILE = 512
 
 
-def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _distances(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """Euclidean distances from the rows of x to those of y, (n, d) and
-    (m, d) -> (n, m).
+    (m, d) -> (n, m), written into `out` when it is given; d >= 1.
 
     Squared gaps are summed one coordinate at a time in place, in the order
     scipy's cdist sums them, so the result is the same to the bit; memory is
-    the n x m output plus one n x m temporary.
+    the n x m output plus, for d > 1, one n x m temporary.
     """
-    out = np.zeros((x.shape[0], y.shape[0]))
-    gap = np.empty_like(out)
-    for cx, cy in zip(x.T, y.T):
+    (cx, cy), *rest = zip(x.T, y.T)
+    out = np.subtract(cx[:, None], cy[None, :], out=out)
+    np.multiply(out, out, out=out)
+    gap = np.empty_like(out) if rest else None
+    for cx, cy in rest:
         np.subtract(cx[:, None], cy[None, :], out=gap)
         np.multiply(gap, gap, out=gap)
         out += gap
@@ -138,8 +141,9 @@ def _points(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2:
-        raise ValidationError(f"samples must be 1-D or 2-D, got shape {x.shape}")
+    if x.ndim != 2 or not x.shape[1]:
+        raise ValidationError("samples must be 1-D or 2-D with at least one "
+                              f"coordinate, got shape {x.shape}")
     return x
 
 
@@ -162,9 +166,10 @@ def energy_distance_test(
     a and b are (n, d) and (m, d) samples; 1-D samples are points of
     dimension 1. Groups larger than max_points are subsampled (seeded), and
     each group needs at least 2 points after that. The pooled distances are
-    formed BLOCK rows at a time and scored under the observed split and every
-    permutation at once, so memory is O(BLOCK N + N n_permutations) for
-    N = n + m pooled points, never N x N.
+    formed one BLOCK x TILE tile at a time and scored under the observed
+    split and every permutation at once, so memory is O(BLOCK TILE +
+    TILE n_permutations) floats plus N n_permutations bytes for N = n + m
+    pooled points, never N x N.
     """
     a, b = _points(a), _points(b)
     if a.shape[1] != b.shape[1]:
@@ -186,20 +191,30 @@ def energy_distance_test(
     # Column 0 of labels marks the observed group a, column p the group a of
     # the p-th permutation. For such an indicator z and the row sums r of D
     # (whose diagonal is zero), group a sums z'Dz, the between-group block
-    # z'r - z'Dz and group b the rest, so one product per block of D's rows
-    # scores every partition.
-    labels = np.zeros((n + m, 1 + n_permutations))
-    labels[:n, 0] = 1.0
+    # z'r - z'Dz and group b the rest, so one product per tile of D scores
+    # every partition. Only a tile's label rows are ever float64.
+    labels = np.zeros((n + m, 1 + n_permutations), dtype=bool)
+    labels[:n, 0] = True
     for p in range(1, 1 + n_permutations):
-        labels[rng.permutation(n + m)[:n], p] = 1.0
-    rows = np.empty(n + m)
+        labels[rng.permutation(n + m)[:n], p] = True
+    total = 0.0
     sum_a = np.zeros(1 + n_permutations)
-    for i in range(0, n + m, BLOCK):
-        block = _distances(pooled[i:i + BLOCK], pooled)
-        rows[i:i + BLOCK] = block.sum(axis=1)
-        sum_a += np.einsum("ip,ip->p", labels[i:i + BLOCK], block @ labels)
-    total = rows.sum()
-    between = rows @ labels - sum_a
+    z_r = np.zeros(1 + n_permutations)
+    cols = np.empty((TILE, 1 + n_permutations))
+    tile = np.empty((BLOCK, TILE))
+    for j in range(0, n + m, TILE):
+        width = min(TILE, n + m - j)
+        np.copyto(cols[:width], labels[j:j + width])
+        for i in range(0, n + m, BLOCK):
+            height = min(BLOCK, n + m - i)
+            dist = _distances(pooled[i:i + height], pooled[j:j + width],
+                              out=tile[:height, :width])
+            rows = labels[i:i + height].astype(np.float64)
+            part = dist.sum(axis=1)
+            total += part.sum()
+            z_r += part @ rows
+            sum_a += np.einsum("ip,ip->p", rows, dist @ cols[:width])
+    between = z_r - sum_a
     sum_b = total - 2.0 * between - sum_a
     stats = (2.0 * between / (n * m)
              - sum_a / (n * (n - 1)) - sum_b / (m * (m - 1)))

@@ -530,23 +530,18 @@ def reduce_conditions(world: GmmWorld, ys: np.ndarray) -> Reduction:
 class _SolveTable:
     """A condition prepared for the times of one solve.
 
-    Holds the condition's mixture (a `Mixture` or a `Reduction`), a map
-    from each time to its row, and (alpha, sigma) and the mixture's
-    `_coefficients` at every row, all found in one vectorised pass.
+    Holds the condition's mixture (a `Mixture` or a `Reduction`) and
+    (alpha, sigma) and the mixture's `_coefficients` at every time, all
+    found in one vectorised pass; row i belongs to the i-th time.
     """
 
-    def __init__(self, mix, times, alpha, sigma):
+    def __init__(self, mix, alpha, sigma):
         self.mixture = mix
-        self._rows = {t: i for i, t in enumerate(times)}
         self._alpha = alpha
         self._sigma = sigma
         self._scales, self._half_logdet = mix._coefficients(alpha, sigma)
 
-    def eps(self, x, t):
-        i = self._rows.get(t)
-        if i is None:
-            raise ValidationError(f"t={t} is not a time this condition "
-                                  "was prepared for")
+    def eps(self, x, i):
         xb, single = _as_batch(x, self.mixture.dim)
         out = self._sigma[i] * self.mixture._pull(
             xb, self._alpha[i], self._scales[i], self._half_logdet[i])
@@ -586,25 +581,25 @@ class AnalyticDenoiser:
         return mix
 
     def prepare(self, condition, times):
-        """`condition` ready for eps at each of `times` in [0, 1], and only
-        those, from one array schedule lookup. The solve keeps the result;
-        the denoiser keeps no per-time state."""
+        """`condition` ready for eps at each of `times` in [0, 1], from one
+        array schedule lookup; eps then takes a time's row in `times`. The
+        solve keeps the result; the denoiser keeps no per-time state."""
         times = np.asarray(times, dtype=np.float64).reshape(-1)
         alpha, sigma, _, _ = self.schedule.coeffs(times)
-        return _SolveTable(self._mixture(condition), times.tolist(), alpha,
-                           sigma)
+        return _SolveTable(self._mixture(condition), alpha, sigma)
 
     def eps(self, x_t, condition, t):
+        """eps at time t; for a condition from `prepare`, t is the row of
+        the time in the times it was prepared for."""
         if isinstance(condition, _SolveTable):
             return condition.eps(x_t, t)
         # One time: the one-row case of a prepared solve. The scalar
         # schedule lookup gives the array lookup's bits in a twentieth of
         # the time.
-        t = float(t)
-        alpha, sigma, _, _ = self.schedule.coeffs(t)
-        table = _SolveTable(self._mixture(condition), (t,), np.array([alpha]),
+        alpha, sigma, _, _ = self.schedule.coeffs(float(t))
+        table = _SolveTable(self._mixture(condition), np.array([alpha]),
                             np.array([sigma]))
-        return table.eps(x_t, t)
+        return table.eps(x_t, 0)
 
 
 class _ZeroDenoiser:

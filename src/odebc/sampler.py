@@ -4,9 +4,11 @@ All solvers share one calling convention: the state is a flat vector (or a
 batch of them), the timestep plan runs from the noise boundary down to
 zero, and the model provides two methods on normalized time. A solve first
 calls prepare(cond, times) once with every time it will visit, and then
-eps(x, prepared, t) at each step, for t among those times; a model with
-nothing to look up per time returns cond from prepare unchanged. A condition
-may be a `model.Reduction` of R observations: the state is then R equal,
+eps(x, prepared, i) at each step, where i is the step's row in those times
+(DPM-Solver-2's midpoints follow its step times); a model with nothing to
+look up per time returns cond from prepare unchanged. Called with a
+condition that was not prepared, eps takes the time itself. A condition may
+be a `model.Reduction` of R observations: the state is then R equal,
 consecutive row groups of reduced coordinates, each conditioned on its own
 observation, and one solve carries all of them (the state stays 2-D). The
 solvers see only rows, and their deterministic steps are linear in
@@ -83,12 +85,11 @@ def _ddpm(model, cfg: SolverConfig, x_t, cond):
     steps = cfg.plan.require_steps()
     abar = cfg.schedule.alpha_bars
     x = _check_state(x_t)
-    times = cfg.plan.times
-    cond = model.prepare(cond, times[:-1])
+    cond = model.prepare(cond, cfg.plan.times[:-1])
     for i in range(cfg.plan.n_transitions):
         k, kp = int(steps[i]), int(steps[i + 1])
         a_k, a_p = abar[k], abar[kp]
-        eps = model.eps(x, cond, times[i])
+        eps = model.eps(x, cond, i)
         x0_hat = (x - math.sqrt(1.0 - a_k) * eps) / math.sqrt(a_k)
         beta = 1.0 - a_k / a_p
         mean = (
@@ -108,11 +109,10 @@ def _ddim(model, cfg: SolverConfig, x_t, cond):
     steps = cfg.plan.require_steps()
     abar = cfg.schedule.alpha_bars
     x = _check_state(x_t)
-    times = cfg.plan.times
-    cond = model.prepare(cond, times[:-1])
+    cond = model.prepare(cond, cfg.plan.times[:-1])
     for i in range(cfg.plan.n_transitions):
         k, kp = int(steps[i]), int(steps[i + 1])
-        eps = model.eps(x, cond, times[i])
+        eps = model.eps(x, cond, i)
         ratio = math.sqrt(abar[kp] / abar[k])
         x = ratio * (x - math.sqrt(1.0 - abar[k]) * eps) \
             + math.sqrt(1.0 - abar[kp]) * eps
@@ -142,13 +142,13 @@ def _dpm2(model, cfg: SolverConfig, x_t, cond):
     """Second-order exponential integrator with a log-SNR midpoint stage."""
     x = _check_state(x_t)
     h, mids, a_ends, a_mids, s_ends, s_mids = _dpm2_grid(cfg.schedule, cfg.plan)
-    times = cfg.plan.times
-    cond = model.prepare(cond, np.concatenate([times[:-1], mids]))
-    for i in range(cfg.plan.n_transitions):
-        eps_s = model.eps(x, cond, times[i])
+    n = cfg.plan.n_transitions
+    cond = model.prepare(cond, np.concatenate([cfg.plan.times[:-1], mids]))
+    for i in range(n):
+        eps_s = model.eps(x, cond, i)
         u = (a_mids[i] / a_ends[i]) * x \
             - s_mids[i] * math.expm1(0.5 * h[i]) * eps_s
-        eps_m = model.eps(u, cond, mids[i])
+        eps_m = model.eps(u, cond, n + i)
         x = (a_ends[i + 1] / a_ends[i]) * x \
             - s_ends[i + 1] * math.expm1(h[i]) * eps_m
     return x
@@ -163,7 +163,7 @@ def _euler(model, cfg: SolverConfig, x_t, cond):
     dts = np.diff(times)
     cond = model.prepare(cond, times[:-1])
     for i in range(cfg.plan.n_transitions):
-        eps = model.eps(x, cond, times[i])
+        eps = model.eps(x, cond, i)
         x = x + dts[i] * (f[i] * x + gain[i] * eps)
     return x
 

@@ -213,16 +213,21 @@ def two_part_eps(mix, s: DiscreteSchedule, x, t) -> np.ndarray:
 
 
 class TwoPartDenoiser:
-    """The analytic denoiser with `two_part_eps` as its kernel."""
+    """The analytic denoiser with `two_part_eps` as its kernel. A prepared
+    condition keeps its times, and eps looks a row's time up in them, so the
+    oracle always works from the time itself."""
 
     def __init__(self, world: GmmWorld, s: DiscreteSchedule):
         self.world = world
         self.schedule = s
 
     def prepare(self, condition, times):
-        return condition
+        return condition, np.asarray(times, dtype=np.float64)
 
     def eps(self, x_t, condition, t):
+        if isinstance(condition, tuple):
+            condition, times = condition
+            t = times[t]
         mix = (prior_mixture(self.world) if condition is BLANK
                else conditional_posterior(self.world, condition))
         return two_part_eps(mix, self.schedule, x_t, t)

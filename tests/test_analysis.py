@@ -173,6 +173,17 @@ def test_independence_matrix_duplicate_condition():
     assert mat[0, 3] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_independence_matrix_needs_two_candidates():
+    # One candidate leaves each condition a one-number distance sequence,
+    # which has no correlation.
+    world = flat_world()
+    conds = [sample_pair(world, 5, i) for i in range(3)]
+    with pytest.raises(ValidationError,
+                       match="at least 2 candidates, got 1"):
+        independence_matrix(world, conds, CandidateSet(seed=3, size=1, dim=8),
+                            ddim(20), L2)
+
+
 def test_render_pgm_bytes(tmp_path):
     vals = np.array([0.0, 63.5, 127.0, 191.0, 255.0, 300.0])
     path = tmp_path / "img.pgm"

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from odebc.config import (
     resolve_config,
 )
 from odebc.errors import ValidationError
+from odebc.rng import generator
 from odebc.sampler import SolverKind
 from odebc.tensorio import read_tensor, write_tensor
 
@@ -258,6 +260,22 @@ def test_independence_needs_two_conditions(tmp_path, capsys):
     assert err == "error: independence needs at least 2 conditions, got 1\n"
 
 
+def test_independence_needs_two_candidates(tmp_path, capsys):
+    out = str(tmp_path / "one")
+    err = _one_error_line(capsys, ["independence", "--out", out, *SMALL_WORLD,
+                                   "--set", "run.conditions=2",
+                                   "--set", "search.candidates=1"])
+    assert err == "error: independence needs at least 2 candidates, got 1\n"
+
+
+def test_python_float_overflow_is_one_error_line(tmp_path, capsys):
+    # world.tau**2 is Python float arithmetic, which raises OverflowError
+    # where numpy's would raise FloatingPointError.
+    err = _one_error_line(capsys, ["search", "--out", str(tmp_path / "o"),
+                                   "--set", "world.tau=1e300"])
+    assert err.startswith("error: the inputs overflow the computation"), err
+
+
 def test_independence_correlations_stay_in_unit_interval(tmp_path):
     # Two candidates make every correlation +-1 up to rounding; on the
     # default world one lands on 1.0000000000000002 without clipping.
@@ -302,6 +320,23 @@ def test_cli_import_loads_no_scipy():
 
 def test_verify_suite_passes(tmp_path):
     assert cli.run(["verify", "--out", str(tmp_path / "v")]) == 0
+
+
+def test_verify_traced_peak_is_small(tmp_path):
+    # verify's largest transients are the energy test's tiles and the
+    # euler-10000 solve table: 2.7 MiB traced in all, 4.1 MiB with whole
+    # rows of pooled distances and a table that maps times to rows.
+    # numpy.random, which verify imports on first use, loads first.
+    generator(0, 0)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["verify", "--out", str(tmp_path / "v")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 2**20
 
 
 def test_verify_marginal_p_values_are_pinned():

@@ -15,6 +15,7 @@ from helpers import energy_test_oracle
 from odebc.errors import ShapeMismatchError, ValidationError
 from odebc.metrics import (
     BLOCK,
+    TILE,
     _distances,
     energy_distance_test,
     get_metric,
@@ -175,12 +176,20 @@ def test_energy_test_subsamples_deterministically():
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
 def test_distance_matrix_equals_cdist(dim):
-    # Every block of pooled rows, the partial last one included (257 rows).
-    x = 3.0 * generator(dim, 2).standard_normal((4 * BLOCK + 1, dim))
+    # Every BLOCK x TILE tile of pooled points, the partial last row block
+    # and column tile included (TILE + 1 points), alone and written into a
+    # view of a full-size tile as the energy test does.
+    x = 3.0 * generator(dim, 2).standard_normal((TILE + 1, dim))
     want = cdist(x, x)
+    buf = np.full((BLOCK, TILE), np.nan)
     for i in range(0, x.shape[0], BLOCK):
-        np.testing.assert_array_equal(_distances(x[i:i + BLOCK], x),
-                                      want[i:i + BLOCK])
+        for j in range(0, x.shape[0], TILE):
+            rows, cols = x[i:i + BLOCK], x[j:j + TILE]
+            tile = want[i:i + BLOCK, j:j + TILE]
+            np.testing.assert_array_equal(_distances(rows, cols), tile)
+            out = buf[:len(rows), :len(cols)]
+            assert _distances(rows, cols, out=out) is out
+            np.testing.assert_array_equal(out, tile)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
@@ -203,6 +212,18 @@ def test_energy_test_matches_per_permutation_oracle(dim):
         assert abs(got.statistic - want.statistic) <= 1e-12 * scale
 
 
+def test_energy_test_matches_oracle_across_tiles():
+    # 700 pooled points: two column tiles, the second partial, and a
+    # partial last row block.
+    a = generator(23, 0).standard_normal((400, 2))
+    b = generator(23, 1).standard_normal((300, 2)) + 0.1
+    assert (a.shape[0] + b.shape[0]) % BLOCK and TILE < 700 < 2 * TILE
+    got = energy_distance_test(a, b, 30, seed=4)
+    want = energy_test_oracle(a, b, 30, seed=4)
+    assert got.p_value == want.p_value
+    assert abs(got.statistic - want.statistic) <= 1e-12 * cdist(a, b).mean()
+
+
 def test_energy_test_reads_1d_samples_as_points():
     a = generator(6, 0).standard_normal(50)
     b = generator(6, 1).standard_normal(50) + 0.5
@@ -221,6 +242,7 @@ def test_energy_test_reads_1d_samples_as_points():
     ((30, 2), (30, 2), {"max_points": 0}),
     ((30, 2), (30, 2), {"n_permutations": -1}),
     ((30, 2, 2), (30, 2, 2), {}),
+    ((30, 0), (30, 0), {}),
 ])
 def test_energy_test_rejects_bad_inputs(shape_a, shape_b, kwargs):
     a = generator(7, 0).standard_normal(shape_a)
@@ -232,8 +254,12 @@ def test_energy_test_rejects_bad_inputs(shape_a, shape_b, kwargs):
 
 
 @pytest.mark.parametrize("n, dim, perms, limit_mib", [
-    (600, 2, 200, 6),     # verify's marginal check; 22 MiB with an N x N D
-    (2000, 8, 300, 24),   # the default max_points; 244 MiB with an N x N D
+    # verify's marginal check: 1.8 MiB in tiles; 3.7 MiB with whole rows of
+    # D and float labels, 22 MiB with an N x N D.
+    (600, 2, 200, 2),
+    # the default max_points: 3.4 MiB in tiles; 15 MiB with whole rows of D
+    # and float labels, 244 MiB with an N x N D.
+    (2000, 8, 300, 5),
 ])
 def test_energy_test_memory_is_blocked(n, dim, perms, limit_mib):
     a = generator(8, 0).standard_normal((n, dim))

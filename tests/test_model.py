@@ -336,7 +336,7 @@ def test_analytic_denoiser_caches_and_matches():
     # One time matches the same time of a prepared solve, to the bit.
     for cond in (y, BLANK):
         np.testing.assert_array_equal(
-            den.eps(x, cond, 0.3), den.eps(x, den.prepare(cond, [0.9, 0.3]), 0.3))
+            den.eps(x, cond, 0.3), den.eps(x, den.prepare(cond, [0.9, 0.3]), 1))
     den.eps(x, y, 0.5)
     assert len(den._posteriors) == 1  # same condition, one cache entry
 
@@ -413,7 +413,7 @@ def test_stacked_mixture_rejected_where_groups_have_no_meaning():
 
 
 def test_euler_projection_leaves_no_per_time_state():
-    # The solve owns its time table (about 1 MB for 10000 times): once it
+    # The solve owns its time table (under 1 MiB for 10000 times): once it
     # returns, the denoiser holds its posterior and nothing per time.
     world = flat_world()
     s = make_linear_vp_schedule(1000, 1e-4, 0.02)
@@ -436,9 +436,18 @@ def test_euler_projection_leaves_no_per_time_state():
     assert vars(den) == fields and vars(post) == post_fields
     assert list(den._posteriors.values()) == [post]
     assert np.all(np.isfinite(out))
-    table = den.prepare(y, [0.5, 0.25])
-    with pytest.raises(ValidationError):
-        den.eps(x_t, table, 0.3)  # not a prepared time
+    # The table itself: (alpha, sigma) and the coefficients per time, and
+    # no map from times to rows.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = den.prepare(y, euler.plan.times[:-1])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    np.testing.assert_array_equal(den.eps(x_t, table, 5000),
+                                  den.eps(x_t, y, euler.plan.times[5000]))
     with pytest.raises(ValidationError):
         den.prepare(y, [0.5, np.nan])
 
@@ -480,10 +489,10 @@ def test_eps_matches_two_part_oracle(world_name):
         mix = (prior_mixture(world) if cond is BLANK
                else conditional_posterior(world, cond))
         table = den.prepare(cond, [0.02, 0.5, 0.97, 1.0])
-        for t in (0.02, 0.5, 0.97, 1.0):
+        for i, t in enumerate((0.02, 0.5, 0.97, 1.0)):
             want = two_part_eps(mix, s, x, t)
             assert_two_part(world_name, den.eps(x, cond, t), want)
-            assert_two_part(world_name, den.eps(x, table, t), want)
+            assert_two_part(world_name, den.eps(x, table, i), want)
             assert_two_part(world_name, den.eps(x[0], cond, t), want[0])
 
 
