@@ -1,0 +1,78 @@
+"""Golden CLI outputs: small `sample`, `independence`, `benchmark` and
+`search` runs reproduce the files under tests/golden/.
+
+Numbers match within `benchmarks/checks.py`'s file tolerances (1e-9
+relative), stdout within its stdout tolerances, and PGM pixels within one
+grey level; `manifest.json` matches apart from `run.out`. The cases and
+their inputs are written by tests/golden/regenerate.py.
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "benchmarks"))
+sys.path.insert(0, GOLDEN)
+
+from checks import _compare_file  # noqa: E402
+from regenerate import run_case  # noqa: E402
+
+CASES = sorted(name for name in os.listdir(GOLDEN)
+               if os.path.exists(os.path.join(GOLDEN, name, "argv.json")))
+
+
+def _compare_pgm(name, got_path, want_path) -> list[str]:
+    with open(got_path, "rb") as fh:
+        got = fh.read()
+    with open(want_path, "rb") as fh:
+        want = fh.read()
+    # P5 header: three lines (magic, width height, max value), then pixels.
+    *got_head, got_pixels = got.split(b"\n", 3)
+    *want_head, want_pixels = want.split(b"\n", 3)
+    if got_head != want_head or len(got_pixels) != len(want_pixels):
+        return [f"{name}: header or size differs from the golden file"]
+    levels = np.abs(np.frombuffer(got_pixels, np.uint8).astype(int)
+                    - np.frombuffer(want_pixels, np.uint8).astype(int))
+    if levels.max() > 1:
+        return [f"{name}: grey levels off by up to {levels.max()}"]
+    return []
+
+
+def _compare_manifest(name, got_path, want_path, tmp_path) -> list[str]:
+    paths = []
+    for label, path in (("got", got_path), ("want", want_path)):
+        with open(path) as fh:
+            manifest = json.load(fh)
+        del manifest["config"]["run"]["out"]
+        paths.append(tmp_path / f"{label}-{name}")
+        paths[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return _compare_file(name, *paths)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_outputs(case, tmp_path):
+    want_dir = os.path.join(GOLDEN, case)
+    with open(os.path.join(want_dir, "argv.json")) as fh:
+        argv = json.load(fh)
+    work = tmp_path / "work"
+    work.mkdir()
+    code, stdout = run_case(argv, str(work))
+    assert code == 0
+    (work / "out" / "stdout.txt").write_text(stdout)
+    names = sorted(set(os.listdir(want_dir)) - {"argv.json"})
+    assert sorted(os.listdir(work / "out")) == names
+    problems = []
+    for name in names:
+        got, want = str(work / "out" / name), os.path.join(want_dir, name)
+        if name.endswith(".pgm"):
+            problems += _compare_pgm(name, got, want)
+        elif name == "manifest.json":
+            problems += _compare_manifest(name, got, want, tmp_path)
+        else:
+            problems += _compare_file(name, got, want)
+    assert problems == []
