@@ -19,12 +19,7 @@ from .bcsearch import (
     objective_table,
     search_optimal_bc,
 )
-from .errors import (
-    NonConvergenceError,
-    PlanMismatchError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import PlanMismatchError, ShapeMismatchError, ValidationError
 from .metrics import (
     Metric,
     energy_distance_test,
@@ -37,7 +32,6 @@ from .model import (
     conditional_posterior,
     mixture_log_density,
     mixture_sample,
-    mixture_score,
     prior_mixture,
     zero_denoiser,
 )
@@ -77,7 +71,6 @@ __all__ = [
     "GainReport",
     "GmmWorld",
     "Metric",
-    "NonConvergenceError",
     "PlanMismatchError",
     "ReferenceSet",
     "SearchResult",
@@ -100,7 +93,6 @@ __all__ = [
     "make_linear_vp_schedule",
     "mixture_log_density",
     "mixture_sample",
-    "mixture_score",
     "objective_table",
     "pearson_corr",
     "prior_mixture",

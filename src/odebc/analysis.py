@@ -22,7 +22,7 @@ from .errors import ShapeMismatchError, ValidationError
 from .metrics import Metric, pearson_corr
 from .model import AnalyticDenoiser, GmmWorld
 from .rng import gauss, generator
-from .sampler import SolverConfig, SolverKind, run_solver
+from .sampler import SolverConfig, SolverKind, project, run_solver
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ def benchmark_samplers(world: GmmWorld, test_pairs, solver_list, bc,
 
     Without a bc each pair gets its own x_T from (seed, pair index); with a
     bc every pair starts from the same tensor (the searched-BC protocol).
-    DDPM rows draw their noise from a per-pair offset of the config seed.
+    Deterministic solvers project each pair (`project`); DDPM rows solve in
+    d and draw their noise from a per-pair offset of the config seed.
     """
     if not test_pairs:
         raise ValidationError("benchmark needs at least one test pair")
@@ -55,10 +56,12 @@ def benchmark_samplers(world: GmmWorld, test_pairs, solver_list, bc,
         values = {metric.name: [] for metric in metric_list}
         for i, (z, y) in enumerate(test_pairs):
             x_t = bc if bc is not None else gauss(seed, i, z.shape)
-            pair_cfg = cfg
             if cfg.kind is SolverKind.DDPM_ANCESTRAL:
-                pair_cfg = replace(cfg, noise_seed=cfg.noise_seed + 7919 * i)
-            out = run_solver(model, pair_cfg, x_t, y)
+                out = run_solver(
+                    model, replace(cfg, noise_seed=cfg.noise_seed + 7919 * i),
+                    x_t, y)
+            else:
+                out = project(model, cfg, x_t, y)
             for metric in metric_list:
                 values[metric.name].append(metric.dist(out, z))
         for metric in metric_list:

@@ -18,7 +18,7 @@ from .errors import ShapeMismatchError, ValidationError
 from .metrics import Metric
 from .model import AnalyticDenoiser, reduce_conditions
 from .rng import gauss
-from .sampler import SolverConfig, project
+from .sampler import SolverConfig, project_reduced
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ def distance_table(stack, refs: ReferenceSet, solver: SolverConfig,
     """n x R table of metric(project(stack[k], y_i), z_i).
 
     The R observations are reduced once (`reduce_conditions`). Each task
-    takes one chunk of up to CHUNK rows: one projection of its (R rows, m)
-    reduced state with the reduction as the condition, then, one reference
-    at a time, the lifted (rows, d) block and one row-wise metric call.
+    takes one chunk of up to CHUNK rows: one `project_reduced` solve of its
+    (R rows, m) reduced state, then, one reference at a time, the lifted
+    (rows, d) block and one row-wise metric call.
     Tasks write their cells by index and run under the caller's
     floating-point error settings; the chunks depend only on n, so the
     table is bit-identical for any `workers`.
@@ -103,10 +103,9 @@ def distance_table(stack, refs: ReferenceSet, solver: SolverConfig,
     def task(start):
         with np.errstate(**errors):
             rows = stack[start:start + CHUNK]
-            states, lift = reduction.reduce(rows)
-            end = project(model, solver, states, reduction)
+            lift = project_reduced(model, solver, rows, reduction)
             for i, (z, _) in enumerate(refs.pairs):
-                table[start:start + len(rows), i] = metric.rows(lift(end, i), z)
+                table[start:start + len(rows), i] = metric.rows(lift(i), z)
 
     starts = range(0, stack.shape[0], CHUNK)
     if workers <= 1:

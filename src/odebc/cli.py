@@ -33,12 +33,7 @@ from .config import (
     resolve_config,
     write_manifest,
 )
-from .errors import (
-    NonConvergenceError,
-    PlanMismatchError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import PlanMismatchError, ShapeMismatchError, ValidationError
 from .metrics import energy_distance_test
 from .model import (
     BLANK,
@@ -384,7 +379,7 @@ def _check_ddim_convergence() -> tuple[bool, str]:
     _, y = sample_pairs(world, 1, 11)[0]
     x_t = gauss(100, 1, (8,))
     ref_cfg = build_solver({"kind": "euler", "steps": 10000}, sched)
-    ref = project(model, ref_cfg, x_t, y)
+    ref = run_solver(model, ref_cfg, x_t, y)
     errs = []
     for n in (10, 25, 50, 100):
         cfg = SolverConfig(kind=SolverKind.DDIM, schedule=sched,
@@ -483,8 +478,7 @@ def run(argv=None) -> int:
         # by non-finite output or a traceback.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ValidationError, ShapeMismatchError, PlanMismatchError,
-            NonConvergenceError) as exc:
+    except (ValidationError, ShapeMismatchError, PlanMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FloatingPointError, OverflowError) as exc:

@@ -22,10 +22,6 @@ class PlanMismatchError(ValidationError):
     """Solver invoked with a config or plan it cannot honor."""
 
 
-class NonConvergenceError(RuntimeError):
-    """An iterative routine stopped without meeting its tolerance."""
-
-
 def require_integer(value, source: str, minimum: int | None = None,
                     maximum: int | None = None) -> int:
     """A JSON integer (not a bool) within [minimum, maximum]."""

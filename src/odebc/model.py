@@ -13,9 +13,9 @@ in closed form, so the exact score (and hence an exact eps-prediction
 quadratic form has one part. A `Reduction` writes the posteriors of R
 observations in at most 2J + 3 coordinates per state row, in which the
 deterministic solvers run unchanged. A solve looks up its whole time grid
-once, through `prepare`, and owns that table; denoisers cache only
-posteriors. Everything here is pure and immutable after construction, which
-is what lets projections run on any number of workers.
+once, through `prepare`, and owns that table; denoisers cache nothing.
+Everything here is pure and immutable after construction, which is what
+lets projections run on any number of workers.
 """
 
 from __future__ import annotations
@@ -174,11 +174,8 @@ class Mixture:
     """Gaussian mixture with covariances lam_perp[j] (I - P) + lam_par[j] P.
 
     P is the projector of `pooling`; for flat worlds P = I and lam_perp
-    plays no part. The prior is the case lam_perp == lam_par. The posterior
-    of a (B, k) stack of observations is stacked: a leading group axis on
-    `log_w` (B, J) and `means` (B, J, d), with shared variances (J,). Only
-    `reduce_conditions` reads one; the functions on states take an
-    unstacked mixture.
+    plays no part. The prior is the case lam_perp == lam_par. `log_w` is
+    (J,), `means` (J, d).
     """
 
     log_w: np.ndarray
@@ -253,12 +250,6 @@ def _as_batch(x: np.ndarray, dim: int):
     raise ShapeMismatchError(f"expected shape ({dim},) or (n, {dim}), got {x.shape}")
 
 
-def _unstacked(mix: Mixture, operation: str) -> None:
-    if mix.log_w.ndim > 1:
-        raise ShapeMismatchError(f"{operation} needs an unstacked mixture, "
-                                 f"got {mix.log_w.shape[0]} groups")
-
-
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log-sum-exp over one axis, kept with length 1; the max term keeps
     the log argument >= 1."""
@@ -317,24 +308,14 @@ def _terms(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
 
 
 def mixture_log_density(mix: Mixture, x):
-    _unstacked(mix, "mixture_log_density")
     xb, single = _as_batch(x, mix.dim)
     joint = _terms(mix, xb, 1.0, *mix._undiffused)[0]
     out = _logsumexp(joint, axis=0)[0] - 0.5 * mix.dim * math.log(2 * math.pi)
     return float(out[0]) if single else out
 
 
-def mixture_score(mix: Mixture, x):
-    """Gradient of log density, sum_j r_j C_j^-1 (m_j - x)."""
-    _unstacked(mix, "mixture_score")
-    xb, single = _as_batch(x, mix.dim)
-    out = -mix._pull(xb, 1.0, *mix._undiffused)
-    return out[0] if single else out
-
-
 def mixture_sample(mix: Mixture, n: int, rng: np.random.Generator) -> np.ndarray:
     """Exact draws: component by weight, then m + sd_perp g + (sd_par - sd_perp) P g."""
-    _unstacked(mix, "mixture_sample")
     comps = rng.choice(mix.log_w.size, size=n, p=np.exp(mix.log_w))
     gauss = rng.standard_normal((n, mix.dim))
     sd_perp = np.sqrt(mix.lam_perp)[comps, None]
@@ -350,8 +331,26 @@ def prior_mixture(world: GmmWorld) -> Mixture:
                    lam_perp=s2, lam_par=s2, pooling=world.pooling)
 
 
+def _posterior_parts(world: GmmWorld, ys: np.ndarray):
+    """The posteriors of observations ys (R, k): log weights (R, J), means
+    (R, J, d) and the variances (lam_perp, lam_par), each (J,), which do not
+    depend on y. See `conditional_posterior`."""
+    pool = world.pooling
+    n = pool.size
+    s2 = world.stds**2
+    g = s2 / n + world.tau**2
+    resid = ys[:, None, :] - pool.sums(world.means) / n
+    prior_means = np.broadcast_to(world.means, resid.shape[:-1] + (world.dim,))
+    means = pool.spread_add(prior_means, resid * (s2 / (n * g))[:, None])
+    # The evidence's -k/2 log(2 pi) is shared by all components and cancels.
+    log_w = np.log(world.weights) - 0.5 * (
+        pool.obs_dim * np.log(g) + np.einsum("rjk,rjk->rj", resid, resid) / g)
+    log_w = log_w - _logsumexp(log_w, axis=-1)
+    return log_w, means, s2, s2 * world.tau**2 / g
+
+
 def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
-    """Exact posterior mixture over x_0 given the degraded observation y.
+    """Exact posterior mixture over x_0 given one degraded observation y (k,).
 
     Linear-Gaussian conjugacy per component, with n = b^2 pixels per block:
     the evidence covariance s_j^2 D D^T + tau^2 I is g_j I with
@@ -359,27 +358,14 @@ def conditional_posterior(world: GmmWorld, y: np.ndarray) -> Mixture:
       m_j = mu_j + s_j^2 / (n g_j) S^T (y - D mu_j),
       C_j = s_j^2 (I - P) + s_j^2 tau^2 / g_j P,
     and component weights are reweighted by the evidence N(y; D mu_j, g_j I).
-    C_j does not depend on y: a (B, k) stack of observations gives one
-    stacked mixture with B groups of means and weights.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (1, 2) or y.shape[-1] != world.obs_dim or not y.size:
+    if y.shape != (world.obs_dim,):
         raise ShapeMismatchError(
-            f"y must have shape ({world.obs_dim},) or (B, {world.obs_dim}) "
-            f"with B >= 1, got {y.shape}")
-    pool = world.pooling
-    n = pool.size
-    s2 = world.stds**2
-    g = s2 / n + world.tau**2
-    resid = y[..., None, :] - pool.sums(world.means) / n
-    prior_means = np.broadcast_to(world.means, resid.shape[:-1] + (world.dim,))
-    means = pool.spread_add(prior_means, resid * (s2 / (n * g))[:, None])
-    # The evidence's -k/2 log(2 pi) is shared by all components and cancels.
-    log_w = np.log(world.weights) - 0.5 * (
-        pool.obs_dim * np.log(g) + np.einsum("...jk,...jk->...j", resid, resid) / g)
-    log_w = log_w - _logsumexp(log_w, axis=-1)
-    return Mixture(log_w=log_w, means=means, lam_perp=s2,
-                   lam_par=s2 * world.tau**2 / g, pooling=pool)
+            f"y must have shape ({world.obs_dim},), got {y.shape}")
+    log_w, means, lam_perp, lam_par = _posterior_parts(world, y[None])
+    return Mixture(log_w=log_w[0], means=means[0], lam_perp=lam_perp,
+                   lam_par=lam_par, pooling=world.pooling)
 
 
 # A remainder at or below this, relative to the vectors it came from, adds
@@ -476,6 +462,10 @@ class Reduction:
         state, lift). lift(end, r) is the (K, d) rows that group r of `end`,
         a solve's result, stands for."""
         pool, frame, u = self.pooling, self.frame, self.n_perp
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != pool.dim:
+            raise ShapeMismatchError(
+                f"rows must have shape (K, {pool.dim}), got {x.shape}")
         par = pool.spread_add(np.zeros_like(x), pool.sums(x) / pool.size)
         coords = np.einsum("kd,sd->ks", x, frame)
         rest_p = x - par - np.einsum("ku,ud->kd", coords[:, :u], frame[:u])
@@ -487,10 +477,10 @@ class Reduction:
         states = np.concatenate([
             np.broadcast_to(coords, (n_refs,) + coords.shape), along[..., None],
             np.broadcast_to(p[:, None], (n_refs, n_rows, 1)), q[..., None]],
-            axis=2).reshape(n_refs * n_rows, -1)
+            axis=2).reshape(n_refs * n_rows, self.dim)
 
         def lift(end, r):
-            rows = end.reshape(n_refs, n_rows, -1)[r]
+            rows = end.reshape(n_refs, n_rows, self.dim)[r]
             w = self.directions[r]
             return (np.einsum("ks,sd->kd", rows[:, :-3], frame)
                     + rows[:, -3, None] * w
@@ -504,10 +494,10 @@ class Reduction:
 def reduce_conditions(world: GmmWorld, ys: np.ndarray) -> Reduction:
     """The `Reduction` of the observations ys (R, k) of `world`."""
     ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim != 2:
+    if ys.ndim != 2 or ys.shape[1] != world.obs_dim or not len(ys):
         raise ShapeMismatchError(
-            f"ys must have shape (R, {world.obs_dim}), got {ys.shape}")
-    post = conditional_posterior(world, ys)
+            f"ys must have shape (R, {world.obs_dim}) with R >= 1, got {ys.shape}")
+    log_w, post_means, lam_perp, lam_par = _posterior_parts(world, ys)
     pool = world.pooling
     par_means = pool.spread_add(np.zeros_like(world.means),
                                 pool.sums(world.means) / pool.size)
@@ -519,12 +509,12 @@ def reduce_conditions(world: GmmWorld, ys: np.ndarray) -> Reduction:
                            where=(norm > RANK_TOL * np.sqrt(_squares(lifted)))[:, None])
     frame = np.concatenate([perp, par])
     means = np.concatenate([
-        np.einsum("rjd,sd->rjs", post.means, frame),
-        np.einsum("rjd,rd->rj", post.means, directions)[..., None],
-        np.zeros(post.log_w.shape + (2,))], axis=2)
+        np.einsum("rjd,sd->rjs", post_means, frame),
+        np.einsum("rjd,rd->rj", post_means, directions)[..., None],
+        np.zeros(log_w.shape + (2,))], axis=2)
     return Reduction(frame=frame, n_perp=len(perp), directions=directions,
-                     pooling=pool, log_w=post.log_w, means=means,
-                     lams=post._lams)
+                     pooling=pool, log_w=log_w, means=means,
+                     lams=np.stack([lam_perp, lam_par], axis=1))
 
 
 class _SolveTable:
@@ -551,34 +541,25 @@ class _SolveTable:
 class AnalyticDenoiser:
     """eps(x_t, condition, t) backed by the exact world score.
 
-    A condition is BLANK, one observation (k,), or a `Reduction` of R
-    observations for an (R n, m) reduced state; or what `prepare` made of
-    one for a solve. Pure given (world, schedule): posteriors are cached by
-    condition value, so repeated calls from any thread return identical
-    results.
+    A condition is BLANK, one observation (k,) for a d-wide state, or a
+    `Reduction` of R observations for an (R n, m) reduced state; or what
+    `prepare` made of one for a solve. A raw observation's posterior is
+    built, in O(J d), each time one is prepared: once per solve, and once
+    per unprepared eps call. Pure given (world, schedule) and holding no
+    state but the prior, so calls from any thread return identical results.
     """
 
     def __init__(self, world: GmmWorld, s: DiscreteSchedule):
         self.world = world
         self.schedule = s
         self._prior = prior_mixture(world)
-        self._posteriors: dict[bytes, Mixture] = {}
 
     def _mixture(self, condition):
         if condition is BLANK:
             return self._prior
         if isinstance(condition, Reduction):
             return condition
-        y = np.ascontiguousarray(np.asarray(condition, dtype=np.float64))
-        if y.ndim != 1:
-            raise ShapeMismatchError(f"a condition y must have shape "
-                                     f"({self.world.obs_dim},), got {y.shape}")
-        key = y.tobytes()
-        mix = self._posteriors.get(key)
-        if mix is None:
-            mix = conditional_posterior(self.world, y)
-            self._posteriors[key] = mix
-        return mix
+        return conditional_posterior(self.world, condition)
 
     def prepare(self, condition, times):
         """`condition` ready for eps at each of `times` in [0, 1], from one

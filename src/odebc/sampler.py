@@ -7,15 +7,19 @@ calls prepare(cond, times) once with every time it will visit, and then
 eps(x, prepared, i) at each step, where i is the step's row in those times
 (DPM-Solver-2's midpoints follow its step times); a model with nothing to
 look up per time returns cond from prepare unchanged. Called with a
-condition that was not prepared, eps takes the time itself. A condition may
-be a `model.Reduction` of R observations: the state is then R equal,
-consecutive row groups of reduced coordinates, each conditioned on its own
-observation, and one solve carries all of them (the state stays 2-D). The
-solvers see only rows, and their deterministic steps are linear in
-(x, eps). The three deterministic solvers are pure functions of their
-inputs; DDPM derives its noise from (seed, transition index) with a
-counter-based generator, so its output never depends on evaluation order
-either.
+condition that was not prepared, eps takes the time itself. The solvers
+see only rows, and their deterministic steps are linear in (x, eps).
+
+`run_solver` integrates whatever state and condition it is given. The
+projection h(x_T, y) has one path: `project_reduced` maps rows to the
+reduced coordinates of a `model.Reduction` of R observations (R equal,
+consecutive row groups of at most 2J + 3 numbers, each group conditioned
+on its own observation), solves that state in one `run_solver` call, and
+lifts each group back to d; `project` is its one-observation case. Only
+DDPM and the oracles solve a d-wide state. The three deterministic solvers
+are pure functions of their inputs; DDPM derives its noise from (seed,
+transition index) with a counter-based generator, so its output never
+depends on evaluation order either.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .errors import PlanMismatchError, ValidationError
+from .errors import PlanMismatchError, ShapeMismatchError, ValidationError
+from .model import reduce_conditions
 from .schedule import DiscreteSchedule, TimestepPlan
 
 
@@ -177,12 +182,33 @@ _DISPATCH = {
 
 
 def run_solver(model, cfg: SolverConfig, x_t, cond):
-    """Run any configured solver, stochastic ones included."""
+    """Run any configured solver on the state x_t, stochastic ones included."""
     return _DISPATCH[cfg.kind](model, cfg, x_t, cond)
 
 
-def project(model, cfg: SolverConfig, x_t, cond):
-    """The projection h(x_T, cond): deterministic solvers only."""
+def project_reduced(model, cfg: SolverConfig, rows, reduction):
+    """The projections of rows (K, d) under every observation of
+    `reduction`, from one solve of their reduced state; deterministic
+    solvers only. Returns lift: r -> the (K, d) projections under
+    observation r."""
     if cfg.kind is SolverKind.DDPM_ANCESTRAL:
         raise ValidationError("projection requires a deterministic solver")
-    return run_solver(model, cfg, x_t, cond)
+    states, lift = reduction.reduce(rows)
+    end = run_solver(model, cfg, states, reduction)
+    return lambda r: lift(end, r)
+
+
+def project(model, cfg: SolverConfig, x_t, y):
+    """The projection h(x_T, y) of x_t (d,) or (n, d) rows under one
+    observation y (k,) of the model's world."""
+    world = model.world
+    x = _check_state(x_t)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != world.dim \
+            or y.shape != (world.obs_dim,):
+        raise ShapeMismatchError(
+            f"project needs x_t ({world.dim},) or (n, {world.dim}) and y "
+            f"({world.obs_dim},), got {x.shape} and {y.shape}")
+    lift = project_reduced(model, cfg, np.atleast_2d(x),
+                           reduce_conditions(world, y[None]))
+    return lift(0).reshape(x.shape)

@@ -92,8 +92,8 @@ def test_criterion_3_solver_convergence_order():
     model = AnalyticDenoiser(world, SCHED)
     _, y = sample_pairs(world, 1, 11)[0]
     x_t = gauss(100, 1, (8,))
-    ref = project(model, build_solver({"kind": "euler", "steps": 10000},
-                                      SCHED), x_t, y)
+    ref = run_solver(model, build_solver({"kind": "euler", "steps": 10000},
+                                         SCHED), x_t, y)
 
     def err(kind, n):
         cfg = SolverConfig(kind=kind, schedule=SCHED,

@@ -25,10 +25,9 @@ from odebc.model import (
     AnalyticDenoiser,
     conditional_posterior,
     mixture_log_density,
-    reduce_conditions,
 )
 from odebc.rng import generator
-from odebc.sampler import SolverConfig, SolverKind, project
+from odebc.sampler import SolverConfig, SolverKind, project, run_solver
 from odebc.schedule import make_linear_vp_schedule, resample_timesteps
 from odebc.worldgen import sample_pairs
 
@@ -81,14 +80,12 @@ def test_reference_set_validation():
 
 def test_objective_zero_on_exact_target():
     # The target is the table's own projection of the one row under the one
-    # observation: its reduced solve, lifted.
+    # observation: `project` runs the same reduce, solve and lift.
     world, den, refs = small_setup(n_pairs=1)
     cfg = ddim_cfg(10)
     bc = generator(1, 0).standard_normal(world.dim)
     y = refs.pairs[0][1]
-    reduction = reduce_conditions(world, y[None])
-    states, lift = reduction.reduce(bc[None])
-    target = lift(project(den, cfg, states, reduction), 0)[0]
+    target = project(den, cfg, bc, y)
     refs = ReferenceSet(pairs=((target, y),))
     total, per_ref = objective(bc, refs, cfg, den, L2)
     assert total == 0.0 and per_ref == [0.0]
@@ -204,7 +201,7 @@ def test_batched_table_matches_per_row_oracle(world_kind, solver, name):
     cands = CandidateSet(seed=12, size=CHUNK + 3, dim=world.dim)
     table = objective_table(cands, refs, cfg, den, metric)
     oracle = np.array([
-        [metric.dist(project(den, cfg, cands.candidate(k), y), z)
+        [metric.dist(run_solver(den, cfg, cands.candidate(k), y), z)
          for z, y in refs.pairs]
         for k in range(cands.size)])
     # The table projects in reduced coordinates, the oracle in d: values
@@ -232,8 +229,8 @@ def test_table_makes_one_solve_per_chunk(monkeypatch):
 
 
 def test_shared_denoiser_under_thread_stress():
-    # 8 threads share one denoiser and its posterior cache, each solve with
-    # its own time table, switching as often as the interpreter allows.
+    # 8 threads share one denoiser, each solve with its own reduction and
+    # time table, switching as often as the interpreter allows.
     # The bits must not change.
     world, den, refs = small_setup(n_pairs=5)
     cands = CandidateSet(seed=15, size=3 * CHUNK, dim=world.dim)

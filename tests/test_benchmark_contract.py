@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -24,7 +23,8 @@ sys.path.insert(0, BENCH)
 import checks  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
-from odebc import cli, sampler  # noqa: E402
+from helpers import trace_solves  # noqa: E402
+from odebc import cli  # noqa: E402
 
 
 def _run(args, stdout):
@@ -58,28 +58,20 @@ def test_setup_probe_builds_the_workload(name):
 
 
 @pytest.mark.parametrize("name,solves", [("search-8x8", 3),
-                                         ("independence-32x32", 1)])
+                                         ("independence-32x32", 1),
+                                         ("verify", 10)])
 def test_traced_rows_and_invariants_at_another_seed(name, solves, tmp_path,
                                                     monkeypatch, capsys):
     # In process, with `run_solver` wrapped wherever odebc holds it, as the
     # benchmark's tracer does: a padded or re-routed solve fails here, and
     # so does a near-tie argmin that the checker's sums would break
-    # differently.
+    # differently. verify has fixed seeds; it runs as at any seed.
     workload = WORKLOADS[name]
-    rows = []
-    run_solver = sampler.run_solver
-
-    def counting(model, cfg, x_t, cond):
-        shape = np.shape(x_t)
-        rows.append(shape[0] if len(shape) == 2 else 1)
-        return run_solver(model, cfg, x_t, cond)
-
-    for module in [m for n, m in sys.modules.items() if n.startswith("odebc")]:
-        if getattr(module, "run_solver", None) is run_solver:
-            monkeypatch.setattr(module, "run_solver", counting)
+    traced = trace_solves(monkeypatch)
     monkeypatch.chdir(ROOT)
     out_dir = str(tmp_path / "out")
     assert cli.run(workload.argv(7, out_dir)) == 0
+    rows = [shape[0] if len(shape) == 2 else 1 for _, shape in traced]
     assert sum(rows) == workload.rows
     assert len(rows) == solves
     stdout_path = tmp_path / "stdout.txt"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import trace_solves
 from odebc import cli
 from odebc.config import (
     apply_set,
@@ -337,6 +338,33 @@ def test_verify_traced_peak_is_small(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 3 * 2**20
+
+
+def test_no_deterministic_command_solves_a_d_wide_state(tmp_path, monkeypatch):
+    # On the default 8x8 world (d = 64, J = 2): every ddim, dpm2 and euler
+    # solve of sample, independence --render and benchmark runs on 6-number
+    # reduced rows; only DDPM integrates d-wide states.
+    traced = trace_solves(monkeypatch)
+    bc, y = tmp_path / "bc.t", tmp_path / "y.t"
+    write_tensor(bc, generator(3, 0).standard_normal(64))
+    write_tensor(y, generator(3, 1).standard_normal(16))
+    solvers = ('run.solvers=[{"kind":"ddim","steps":10},{"kind":"dpm2",'
+               '"steps":5},{"kind":"euler","steps":1000},{"kind":"ddpm",'
+               '"steps":10}]')
+    for i, argv in enumerate([
+            ["sample", "--bc", str(bc), "--y", str(y), "--render"],
+            ["independence", "--render", "2", "--set", "search.candidates=4",
+             "--set", "run.conditions=2"],
+            ["benchmark", "--set", solvers, "--set", "run.test_pairs=2"],
+            ["benchmark", "--set", solvers, "--set", "run.test_pairs=2",
+             "--bc", str(bc)]]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run([*argv, "--out", str(tmp_path / f"o{i}")]) == 0
+    widths = {}
+    for kind, shape in traced:
+        widths.setdefault(kind, set()).add(shape[-1])
+    assert widths == {SolverKind.DDIM: {6}, SolverKind.DPM_SOLVER_2: {6},
+                      SolverKind.EULER_REF: {6}, SolverKind.DDPM_ANCESTRAL: {64}}
 
 
 def test_verify_marginal_p_values_are_pinned():

@@ -17,7 +17,7 @@ from odebc.config import (
     resolve_config,
 )
 
-PACKAGE_ERRORS = (errors.ValidationError, errors.NonConvergenceError)
+PACKAGE_ERRORS = errors.ValidationError
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -22,6 +22,7 @@ from helpers import (
     TwoPartDenoiser,
     linear_denoiser,
     log_density_x0_given_y,
+    mixture_score,
     mode_oracle,
     two_part_eps,
 )
@@ -35,13 +36,12 @@ from odebc.model import (
     conditional_posterior,
     mixture_log_density,
     mixture_sample,
-    mixture_score,
     prior_mixture,
     reduce_conditions,
     zero_denoiser,
 )
 from odebc.rng import generator
-from odebc.sampler import project
+from odebc.sampler import project, run_solver
 from odebc.schedule import make_linear_vp_schedule
 from odebc.worldgen import sample_pair, sample_pairs
 
@@ -326,7 +326,7 @@ def test_posterior_samples_match_rejection_sampling():
     assert result.p_value > 0.01
 
 
-def test_analytic_denoiser_caches_and_matches():
+def test_analytic_denoiser_one_time_matches_prepared():
     world = image_world()
     s = make_linear_vp_schedule(1000, 1e-4, 0.02)
     den = AnalyticDenoiser(world, s)
@@ -337,8 +337,6 @@ def test_analytic_denoiser_caches_and_matches():
     for cond in (y, BLANK):
         np.testing.assert_array_equal(
             den.eps(x, cond, 0.3), den.eps(x, den.prepare(cond, [0.9, 0.3]), 1))
-    den.eps(x, y, 0.5)
-    assert len(den._posteriors) == 1  # same condition, one cache entry
 
 
 def test_trivial_denoisers():
@@ -374,67 +372,62 @@ def test_block_sums_equal_strided_sum_bit_for_bit(shape, block):
 
 @pytest.mark.parametrize("world_name", sorted(ORACLE_WORLDS))
 def test_stacked_posterior_equals_unstacked_loop(world_name):
-    # B observations in one mixture: each group's means and weights are the
-    # bits of the one-observation mixture. The denoiser takes one
-    # observation at a time; stacks go through `reduce_conditions`.
+    # R observations in one reduction: each observation's row of weights is
+    # the bits of its own posterior, its row of means that posterior's
+    # means in the reduced coordinates, and the variances are shared. The
+    # denoiser and `conditional_posterior` take one observation at a time;
+    # stacks go through `reduce_conditions`.
     world = ORACLE_WORLDS[world_name]()
     s = make_linear_vp_schedule(1000, 1e-4, 0.02)
     ys = np.stack([y for _, y in sample_pairs(world, 3, seed=8)])
-    stacked = conditional_posterior(world, ys)
-    assert stacked.log_w.shape == (3, world.n_components)
-    assert stacked.means.shape == (3, world.n_components, world.dim)
-    for g, y in enumerate(ys):
+    reduction = reduce_conditions(world, ys)
+    assert reduction.log_w.shape == (3, world.n_components)
+    assert reduction.means.shape == (3, world.n_components, reduction.dim)
+    for r, y in enumerate(ys):
         one = conditional_posterior(world, y)
         assert one.log_w.shape == (world.n_components,)
-        np.testing.assert_array_equal(stacked.means[g], one.means)
-        np.testing.assert_array_equal(stacked.log_w[g], one.log_w)
-        np.testing.assert_array_equal(stacked.lam_par, one.lam_par)
+        np.testing.assert_array_equal(reduction.log_w[r], one.log_w)
+        np.testing.assert_array_equal(reduction.lams,
+                                      np.stack([one.lam_perp, one.lam_par], 1))
+        coords = np.concatenate([one.means @ reduction.frame.T,
+                                 (one.means @ reduction.directions[r])[:, None],
+                                 np.zeros((world.n_components, 2))], axis=1)
+        assert_rel(reduction.means[r], coords, tol=1e-14)
     x = generator(6, 0).standard_normal((3 * 4, world.dim))
     den = AnalyticDenoiser(world, s)
     for cond in (ys, ys[:1]):
         with pytest.raises(ShapeMismatchError):
             den.eps(x, cond, 0.5)
-    with pytest.raises(ShapeMismatchError):
-        mixture_score(stacked, x)
-    with pytest.raises(ShapeMismatchError):
-        conditional_posterior(world, ys[None])
-    with pytest.raises(ShapeMismatchError):
-        reduce_conditions(world, ys[0])
-
-
-def test_stacked_mixture_rejected_where_groups_have_no_meaning():
-    world = flat_world()
-    ys = np.stack([y for _, y in sample_pairs(world, 2, seed=9)])
-    stacked = conditional_posterior(world, ys)
-    with pytest.raises(ShapeMismatchError):
-        mixture_sample(stacked, 4, generator(1, 0))
-    with pytest.raises(ShapeMismatchError):
-        mixture_log_density(stacked, np.zeros((2, world.dim)))
+        with pytest.raises(ShapeMismatchError):
+            conditional_posterior(world, cond)
+    for bad in (ys[0], ys[:0], ys[:, :-1]):
+        with pytest.raises(ShapeMismatchError):
+            reduce_conditions(world, bad)
+    for rows in (x[0], x[:, :-1]):
+        with pytest.raises(ShapeMismatchError):
+            reduction.reduce(rows)
 
 
 def test_euler_projection_leaves_no_per_time_state():
-    # The solve owns its time table (under 1 MiB for 10000 times): once it
-    # returns, the denoiser holds its posterior and nothing per time.
+    # The solve owns its time table (under 1 MiB for 10000 times) and the
+    # posterior it prepared: once it returns, the denoiser holds nothing
+    # new. The euler-10000 oracle solves the raw observation in d.
     world = flat_world()
     s = make_linear_vp_schedule(1000, 1e-4, 0.02)
     _, y = sample_pairs(world, 1, seed=10)[0]
     x_t = generator(7, 0).standard_normal(world.dim)
     euler = build_solver({"kind": "euler", "steps": 10000}, s)
     den = AnalyticDenoiser(world, s)
-    den.eps(x_t, y, 0.5)  # builds the posterior
     fields = dict(vars(den))
-    (post,) = den._posteriors.values()
-    post_fields = dict(vars(post))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = project(den, euler, x_t, y)
+        out = run_solver(den, euler, x_t, y)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert held < 16384
-    assert vars(den) == fields and vars(post) == post_fields
-    assert list(den._posteriors.values()) == [post]
+    assert vars(den) == fields
     assert np.all(np.isfinite(out))
     # The table itself: (alpha, sigma) and the coefficients per time, and
     # no map from times to rows.
@@ -505,18 +498,22 @@ def test_solvers_match_two_part_oracle(world_name, kind):
     x = generator(14, 0).standard_normal((6, world.dim))
     for cond in conditions:
         assert_two_part(world_name,
-                        project(AnalyticDenoiser(world, s), cfg, x, cond),
-                        project(TwoPartDenoiser(world, s), cfg, x, cond))
+                        run_solver(AnalyticDenoiser(world, s), cfg, x, cond),
+                        run_solver(TwoPartDenoiser(world, s), cfg, x, cond))
 
 
 def reduced_and_full(world, cfg, x, ys):
-    """Per observation, (the reduced projection of rows x lifted back, the
-    full-d projection); and the reduced state's width m."""
+    """Per observation, (the reduced solve of rows x under all of ys lifted
+    back, the full-d solve) and (`project` of x, the full-d solve); and the
+    reduced state's width m."""
     den = AnalyticDenoiser(world, cfg.schedule)
     reduction = reduce_conditions(world, np.stack(ys))
     states, lift = reduction.reduce(x)
-    end = project(den, cfg, states, reduction)
-    pairs = [(lift(end, r), project(den, cfg, x, y)) for r, y in enumerate(ys)]
+    end = run_solver(den, cfg, states, reduction)
+    pairs = []
+    for r, y in enumerate(ys):
+        full = run_solver(den, cfg, x, y)
+        pairs += [(lift(end, r), full), (project(den, cfg, x, y), full)]
     return pairs, states.shape[1]
 
 

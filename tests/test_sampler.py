@@ -8,7 +8,7 @@ import pytest
 
 from helpers import dense_covariance, flat_world, linear_denoiser
 from odebc import rng
-from odebc.errors import PlanMismatchError, ValidationError
+from odebc.errors import PlanMismatchError, ShapeMismatchError, ValidationError
 from odebc.metrics import energy_distance_test
 from odebc.model import (
     BLANK,
@@ -103,7 +103,7 @@ def test_ddim_converges_to_euler_reference():
     den = AnalyticDenoiser(world, SCHED)
     y = world.degrade(world.means[0]) + 0.05
     x_t = generator(100, 1).standard_normal(8)
-    ref = project(den, euler_cfg(10_000), x_t, y)
+    ref = run_solver(den, euler_cfg(10_000), x_t, y)
     errs = []
     for n in [10, 25, 50, 100]:
         out = project(den, cfg_for(SolverKind.DDIM, resample_timesteps(SCHED, n + 1)),
@@ -220,21 +220,31 @@ def test_ddpm_and_ddim_share_marginals():
 
 
 def test_project_dispatch_and_guards():
+    # project solves in reduced coordinates; run_solver on the raw
+    # observation is its full-d oracle.
     world = flat_world(dim=4, n_comp=2, tau=0.3, seed=3)
     den = AnalyticDenoiser(world, SCHED)
     x = generator(15, 0).standard_normal(4)
     y = world.degrade(world.means[0])
     cfg = cfg_for(SolverKind.DDIM, resample_timesteps(SCHED, 20))
-    np.testing.assert_array_equal(project(den, cfg, x, y),
-                                  run_solver(den, cfg, x, y))
-    np.testing.assert_array_equal(project(den, cfg, x, BLANK),
-                                  run_solver(den, cfg, x, BLANK))
-    assert np.any(project(den, cfg, x, y) != project(den, cfg, x, BLANK))
+    for x_t in (x, np.stack([x, -x]), np.zeros((0, 4))):
+        got = project(den, cfg, x_t, y)
+        assert got.shape == x_t.shape
+        np.testing.assert_allclose(got, run_solver(den, cfg, x_t, y),
+                                   rtol=1e-13, atol=1e-15)
+    assert np.any(project(den, cfg, x, y) != run_solver(den, cfg, x, BLANK))
     with pytest.raises(ValidationError):
         project(den, cfg_for(SolverKind.DDPM_ANCESTRAL,
                              resample_timesteps(SCHED, 20)), x, y)
     with pytest.raises(ValidationError):
         project(den, cfg, np.array([np.nan, 0, 0, 0]), y)
+    # Wrong width, empty, scalar or 3-D states; an empty, 2-D or wrong-width
+    # observation.
+    for x_t, y_t in [(x[:2], y), (np.zeros(0), y), (np.float64(1.0), y),
+                     (x[None, None], y), (x, np.zeros(0)), (x, y[None]),
+                     (x, y[:2])]:
+        with pytest.raises(ShapeMismatchError):
+            project(den, cfg, x_t, y_t)
 
 
 def test_projection_parallel_bit_identical():
