@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from helpers import flat_world, image_world
-from odebc import sampler
+from helpers import flat_world, image_world, trace_solves
 from odebc.bcsearch import (
     CHUNK,
     CandidateSet,
@@ -213,19 +212,12 @@ def test_table_makes_one_solve_per_chunk(monkeypatch):
     # Every reference of a chunk shares its solve, on reduced states of at
     # most 2J + 3 numbers per row: 2 chunks of CHUNK and 3 rows, 5
     # references, J = 3.
-    solves = []
-    run_solver = sampler.run_solver
-
-    def counting(model, cfg, x_t, cond):
-        solves.append(np.shape(x_t))
-        return run_solver(model, cfg, x_t, cond)
-
-    monkeypatch.setattr(sampler, "run_solver", counting)
+    traced = trace_solves(monkeypatch)
     world, den, refs = small_setup(n_pairs=5)
     cands = CandidateSet(seed=13, size=CHUNK + 3, dim=world.dim)
     objective_table(cands, refs, ddim_cfg(10), den, L2)
-    assert [rows for rows, _ in solves] == [CHUNK * 5, 3 * 5]
-    assert all(width <= 2 * world.n_components + 3 for _, width in solves)
+    assert [rows for _, (rows, _) in traced] == [CHUNK * 5, 3 * 5]
+    assert all(width <= 2 * world.n_components + 3 for _, (_, width) in traced)
 
 
 def test_shared_denoiser_under_thread_stress():
