@@ -80,6 +80,14 @@ CASES = {
                         "--set", "search.candidates=12",
                         "--set", "search.references=6",
                         "--set", "run.holdout=4", "--set", "search.n_random=3"],
+    # Size 6 is the whole pool: its five repeats pick the same subset, and
+    # their std is an exact zero, not the 3e-17 that np.std leaves here.
+    "ablate-r": ["ablate-r", "--set", "run.pairs=6", "--set", "run.sizes=[1,3,6]",
+                 "--set", "run.repeats=5", "--set", "run.k_fixed=8",
+                 "--set", "run.holdout=4"],
+    "ablate-k": ["ablate-k", "--set", "search.references=4",
+                 "--set", "run.sizes=[2,4,8]", "--set", "run.repeats=2",
+                 "--set", "run.holdout=4"],
 }
 
 

@@ -3,8 +3,9 @@
 
 Numbers match within `benchmarks/checks.py`'s file tolerances (1e-9
 relative), stdout within its stdout tolerances, and PGM pixels within one
-grey level; `manifest.json` matches apart from `run.out`. The cases and
-their inputs are written by tests/golden/regenerate.py.
+grey level; `manifest.json` matches apart from `run.out`. A number that is
+exactly zero in a golden text file must be exactly zero in the output. The
+cases and their inputs are written by tests/golden/regenerate.py.
 """
 
 import json
@@ -19,7 +20,7 @@ GOLDEN = os.path.join(HERE, "golden")
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "benchmarks"))
 sys.path.insert(0, GOLDEN)
 
-from checks import _compare_file  # noqa: E402
+from checks import _compare_file, _split_text  # noqa: E402
 from regenerate import run_case  # noqa: E402
 
 CASES = sorted(name for name in os.listdir(GOLDEN)
@@ -41,6 +42,21 @@ def _compare_pgm(name, got_path, want_path) -> list[str]:
     if levels.max() > 1:
         return [f"{name}: grey levels off by up to {levels.max()}"]
     return []
+
+
+def _compare_zeros(name, got_path, want_path) -> list[str]:
+    """Positions where a golden text file holds an exact zero and the output
+    does not. Such zeros are set, not summed (the std of identical repeats),
+    so summation dust there is a fault even inside the file tolerance."""
+    with open(got_path) as fh:
+        _, got = _split_text(fh.read())
+    with open(want_path) as fh:
+        _, want = _split_text(fh.read())
+    if len(got) != len(want):
+        return []  # _compare_file reports the count
+    bad = [i for i, (a, b) in enumerate(zip(got, want)) if b == 0.0 and a != 0.0]
+    return [f"{name}: {len(bad)} exact zeros became nonzero, first {got[bad[0]]!r}"
+            ] if bad else []
 
 
 def _compare_manifest(name, got_path, want_path, tmp_path) -> list[str]:
@@ -73,6 +89,9 @@ def test_golden_outputs(case, tmp_path):
             problems += _compare_pgm(name, got, want)
         elif name == "manifest.json":
             problems += _compare_manifest(name, got, want, tmp_path)
+        elif name.endswith(".t"):
+            problems += _compare_file(name, got, want)
         else:
             problems += _compare_file(name, got, want)
+            problems += _compare_zeros(name, got, want)
     assert problems == []
