@@ -47,12 +47,8 @@ def benchmark_samplers(world: GmmWorld, test_pairs, solver_list, bc,
     if not test_pairs:
         raise ValidationError("benchmark needs at least one test pair")
     rows = []
-    models = {}
     for cfg in solver_list:
-        model = models.get(id(cfg.schedule))
-        if model is None:
-            model = AnalyticDenoiser(world, cfg.schedule)
-            models[id(cfg.schedule)] = model
+        model = AnalyticDenoiser(world, cfg.schedule)
         values = {metric.name: [] for metric in metric_list}
         for i, (z, y) in enumerate(test_pairs):
             x_t = bc if bc is not None else gauss(seed, i, z.shape)

@@ -13,7 +13,7 @@ in closed form, so the exact score (and hence an exact eps-prediction
 quadratic form has one part. A `Reduction` writes the posteriors of R
 observations in at most 2J + 3 coordinates per state row, in which the
 deterministic solvers run unchanged. A solve looks up its whole time grid
-once, through `prepare`, and owns that table; denoisers cache nothing.
+once, through `prepare`, and owns that table; nothing in odebc caches.
 Everything here is pure and immutable after construction, which is what
 lets projections run on any number of workers.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -207,12 +206,6 @@ class Mixture:
     def dim(self) -> int:
         return self.means.shape[-1]
 
-    @cached_property
-    def _undiffused(self):
-        """The coefficients of the mixture itself, (alpha, sigma) = (1, 0)."""
-        scales, half_logdet = self._coefficients(np.ones(1), np.zeros(1))
-        return scales[0], half_logdet[0]
-
     def _coefficients(self, alpha: np.ndarray, sigma: np.ndarray):
         """`_variances` of the mixture as the scales (1/A_j, gap_j), with
         gap_j = (1/C_j - 1/A_j) / b^2; when P = I the second is 1/C_j
@@ -309,7 +302,9 @@ def _terms(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
 
 def mixture_log_density(mix: Mixture, x):
     xb, single = _as_batch(x, mix.dim)
-    joint = _terms(mix, xb, 1.0, *mix._undiffused)[0]
+    # The coefficients of the mixture itself, (alpha, sigma) = (1, 0).
+    scales, half_logdet = mix._coefficients(np.ones(1), np.zeros(1))
+    joint = _terms(mix, xb, 1.0, scales[0], half_logdet[0])[0]
     out = _logsumexp(joint, axis=0)[0] - 0.5 * mix.dim * math.log(2 * math.pi)
     return float(out[0]) if single else out
 
@@ -574,13 +569,8 @@ class AnalyticDenoiser:
         the time in the times it was prepared for."""
         if isinstance(condition, _SolveTable):
             return condition.eps(x_t, t)
-        # One time: the one-row case of a prepared solve. The scalar
-        # schedule lookup gives the array lookup's bits in a twentieth of
-        # the time.
-        alpha, sigma, _, _ = self.schedule.coeffs(float(t))
-        table = _SolveTable(self._mixture(condition), np.array([alpha]),
-                            np.array([sigma]))
-        return table.eps(x_t, 0)
+        # One time: a solve prepared for that time alone.
+        return self.prepare(condition, t).eps(x_t, 0)
 
 
 class _ZeroDenoiser:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,23 +123,14 @@ def _ddim(model, cfg: SolverConfig, x_t, cond):
     return x
 
 
-@lru_cache(maxsize=1024)
 def _dpm2_grid(s: DiscreteSchedule, plan: TimestepPlan):
-    """Midpoint times and (alpha, sigma, h) tables for one plan, solved once."""
+    """Midpoint times and (alpha, sigma, h) tables for one plan; the
+    midpoints come from one batched inversion of lam."""
     times = plan.times
-    lam = np.asarray(s.lam(times), dtype=np.float64)
+    lam = s.lam(times)
     h = np.diff(lam)
-    mids = np.array([
-        s.time_of_lambda(float(lam[i] + 0.5 * h[i])) for i in range(h.size)
-    ])
-    return (
-        h,
-        mids,
-        np.asarray(s.alpha(times)),
-        np.asarray(s.alpha(mids)),
-        np.asarray(s.sigma(times)),
-        np.asarray(s.sigma(mids)),
-    )
+    mids = s.time_of_lambda(lam[:-1] + 0.5 * h)
+    return h, mids, s.alpha(times), s.alpha(mids), s.sigma(times), s.sigma(mids)
 
 
 def _dpm2(model, cfg: SolverConfig, x_t, cond):
@@ -203,7 +193,12 @@ def project(model, cfg: SolverConfig, x_t, y):
     observation y (k,) of the model's world."""
     world = model.world
     x = _check_state(x_t)
-    y = np.asarray(y, dtype=np.float64)
+    try:
+        y = np.asarray(y, dtype=np.float64)
+    except (TypeError, ValueError):  # BLANK, or anything else not numeric
+        raise ShapeMismatchError(
+            f"project needs an observation y ({world.obs_dim},), got {y!r}"
+        ) from None
     if x.ndim not in (1, 2) or x.shape[-1] != world.dim \
             or y.shape != (world.obs_dim,):
         raise ShapeMismatchError(

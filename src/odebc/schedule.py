@@ -9,7 +9,6 @@ interpolant. t=1 is the noise boundary (step T-1), t=0 is step 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,28 +41,15 @@ class DiscreteSchedule:
             np.float64
         )
         self._log_alpha_bars = np.log(self.alpha_bars)
-        self._log_alpha_bar_list = self._log_alpha_bars.tolist()
 
     @property
     def total_steps(self) -> int:
         return self.betas.size
 
     def _interp_log_alpha_bar(self, t):
-        """Piecewise-linear value and slope of log(alpha_bar) at t in [0,1].
-
-        A float t takes a scalar path (solvers ask for one time per step)
-        that does the array path's float64 operations in the same order, so
-        both return the same bits.
-        """
+        """Piecewise-linear value and slope of log(alpha_bar) at times t,
+        each in [0, 1]; t may be a scalar or an array of any shape."""
         n = self.total_steps - 1
-        if isinstance(t, float):
-            if not 0.0 <= t <= 1.0:
-                raise ValidationError("t must lie in [0, 1]")
-            u = t * n
-            k = min(math.floor(u), n - 1)
-            lo = self._log_alpha_bar_list[k]
-            seg = self._log_alpha_bar_list[k + 1] - lo
-            return lo + (u - k) * seg, seg * n
         t = np.asarray(t, dtype=np.float64)
         if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
             raise ValidationError("t must lie in [0, 1]")
@@ -97,19 +83,25 @@ class DiscreteSchedule:
         g2 = dsigma2 - 2.0 * f * sigma2
         return alpha, np.sqrt(sigma2), f, g2
 
-    def time_of_lambda(self, target: float) -> float:
-        """Invert lam(t) by bisection; lam is strictly decreasing."""
-        lo, hi = 0.0, 1.0  # lam(lo) > target > lam(hi)
-        if not (self.lam(1.0) <= target <= self.lam(0.0)):
+    def time_of_lambda(self, target):
+        """The times where lam equals `target`, a scalar or an array of any
+        shape, by one bisection for all of them; lam is strictly
+        decreasing. Each interval halves until its midpoint equals an end
+        (or 200 times), and then stays as it is."""
+        target = np.asarray(target, dtype=np.float64)
+        if not np.all((self.lam(1.0) <= target) & (target <= self.lam(0.0))):
             raise ValidationError("lambda target outside schedule range")
+        lo = np.zeros_like(target)  # lam(lo) > target > lam(hi)
+        hi = np.ones_like(target)
+        moving = np.ones(target.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
+            moving &= (mid != lo) & (mid != hi)
+            if not moving.any():
                 break
-            if self.lam(mid) > target:
-                lo = mid
-            else:
-                hi = mid
+            above = self.lam(mid) > target
+            lo = np.where(moving & above, mid, lo)
+            hi = np.where(moving & ~above, mid, hi)
         return 0.5 * (lo + hi)
 
 

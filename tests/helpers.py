@@ -33,20 +33,23 @@ from odebc.schedule import DiscreteSchedule, TimestepPlan, resample_timesteps
 
 
 def flat_world(dim=8, n_comp=3, tau=0.2, seed=7, spread=2.0, std=0.6):
+    """A drawn flat world; `std` is one std for every component or a
+    sequence of one per component."""
     rng = generator(seed, 0)
     w = rng.dirichlet(np.full(n_comp, 5.0))
     means = spread * rng.standard_normal((n_comp, dim))
-    stds = std * np.ones(n_comp)
+    stds = np.full(n_comp, std, dtype=np.float64)
     return GmmWorld(weights=w, means=means, stds=stds, tau=tau, block=1)
 
 
 def image_world(height=4, width=4, channels=1, block=2, n_comp=3, tau=0.05,
                 seed=11, spread=1.0, std=0.5):
+    """A drawn image world; `std` as in `flat_world`."""
     dim = height * width * channels
     rng = generator(seed, 0)
     w = rng.dirichlet(np.full(n_comp, 5.0))
     means = spread * rng.standard_normal((n_comp, dim))
-    stds = std * np.ones(n_comp)
+    stds = np.full(n_comp, std, dtype=np.float64)
     return GmmWorld(
         weights=w, means=means, stds=stds, tau=tau, block=block,
         shape=(height, width, channels),
@@ -239,7 +242,9 @@ def mixture_score(mix: Mixture, x):
     """Gradient of log density, sum_j r_j C_j^-1 (m_j - x), at x (d,) or
     (n, d): minus the model's pull of the undiffused mixture."""
     x = np.asarray(x, dtype=np.float64)
-    return -mix._pull(np.atleast_2d(x), 1.0, *mix._undiffused).reshape(x.shape)
+    scales, half_logdet = mix._coefficients(np.ones(1), np.zeros(1))
+    return -mix._pull(np.atleast_2d(x), 1.0, scales[0],
+                      half_logdet[0]).reshape(x.shape)
 
 
 def log_density_x0_given_y(world: GmmWorld, x_0, y):
@@ -306,6 +311,26 @@ def trace_solves(monkeypatch) -> list:
                 getattr(module, "run_solver", None) is run_solver:
             monkeypatch.setattr(module, "run_solver", traced)
     return solves
+
+
+def time_of_lambda_oracle(s: DiscreteSchedule, targets) -> np.ndarray:
+    """`DiscreteSchedule.time_of_lambda` one target at a time: bisect [0, 1]
+    until the midpoint equals an end, or for 200 halvings."""
+    out = []
+    for target in np.asarray(targets, dtype=np.float64).ravel().tolist():
+        if not s.lam(1.0) <= target <= s.lam(0.0):
+            raise ValidationError("lambda target outside schedule range")
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if s.lam(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        out.append(0.5 * (lo + hi))
+    return np.reshape(out, np.shape(targets))
 
 
 def identity_plan(s: DiscreteSchedule) -> TimestepPlan:

@@ -109,6 +109,13 @@ ORACLE_WORLDS = {
     "8x8": lambda: _config_world(8),
     "6x6x3": lambda: image_world(6, 6, 3, block=3),
     "32x32": lambda: _config_world(32),
+    # One std per component, so the evidence's log-determinant differs
+    # between components. Under the observation of the dense-oracle test
+    # the posterior weights stay balanced: 0.26-0.40 (flat) and 0.09-0.61
+    # (block 2).
+    "flat-stds": lambda: flat_world(dim=4, tau=1.0, spread=0.5,
+                                    std=(0.3, 0.6, 1.2)),
+    "4x4-stds": lambda: image_world(tau=0.5, spread=0.3, std=(0.3, 0.5, 0.9)),
 }
 
 

@@ -239,12 +239,13 @@ def test_project_dispatch_and_guards():
     with pytest.raises(ValidationError):
         project(den, cfg, np.array([np.nan, 0, 0, 0]), y)
     # Wrong width, empty, scalar or 3-D states; an empty, 2-D or wrong-width
-    # observation.
+    # observation, or none at all (BLANK).
     for x_t, y_t in [(x[:2], y), (np.zeros(0), y), (np.float64(1.0), y),
                      (x[None, None], y), (x, np.zeros(0)), (x, y[None]),
-                     (x, y[:2])]:
-        with pytest.raises(ShapeMismatchError):
+                     (x, y[:2]), (x, BLANK)]:
+        with pytest.raises(ShapeMismatchError) as err:
             project(den, cfg, x_t, y_t)
+        assert "\n" not in str(err.value)
 
 
 def test_projection_parallel_bit_identical():

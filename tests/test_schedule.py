@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_plan
+from helpers import identity_plan, time_of_lambda_oracle
 from odebc.errors import PlanMismatchError, ValidationError
-from odebc.rng import generator
 from odebc.schedule import (
     DiscreteSchedule,
     make_linear_vp_schedule,
@@ -74,17 +73,10 @@ def test_vp_identity_on_random_times():
     np.testing.assert_allclose(alpha**2 + sigma**2, 1.0, atol=1e-12)
 
 
-def test_scalar_lookup_matches_array_lookup_bit_for_bit():
+def test_lookup_rejects_times_outside_unit_interval():
     s = default_schedule()
-    grid = np.arange(s.total_steps) / (s.total_steps - 1)
-    times = np.concatenate([grid, [0.0, 1.0], generator(12, 0).random(10_000)])
-    for name in ("alpha", "sigma", "lam", "coeffs"):
-        fn = getattr(s, name)
-        batch = np.array(fn(times), ndmin=2)
-        for i, t in enumerate(times.tolist()):
-            one = np.array(fn(t), ndmin=1)
-            assert np.array_equal(one, batch[:, i]), (name, t)
-    for bad in (-1e-12, 1.0 + 1e-12):
+    inside = np.linspace(0.0, 1.0, 5)
+    for bad in (-1e-12, 1.0 + 1e-12, np.nan, np.append(inside, 1.0 + 1e-12)):
         for name in ("alpha", "sigma", "lam", "coeffs"):
             with pytest.raises(ValidationError):
                 getattr(s, name)(bad)
@@ -111,6 +103,26 @@ def test_lambda_monotone_and_invertible():
         assert s.time_of_lambda(float(s.lam(ti))) == pytest.approx(ti, abs=1e-10)
     with pytest.raises(ValidationError):
         s.time_of_lambda(float(s.lam(0.0)) + 1.0)
+
+
+def test_batched_time_of_lambda_matches_oracle_bit_for_bit():
+    # The targets DPM-Solver-2 inverts: the log-SNR midpoints of its plans.
+    s = default_schedule()
+    for n in (2, 5, 20, 50, 1000):
+        lam = s.lam(resample_timesteps(s, n).times)
+        targets = lam[:-1] + 0.5 * np.diff(lam)
+        got = s.time_of_lambda(targets)
+        assert got.shape == targets.shape
+        assert got.tobytes() == time_of_lambda_oracle(s, targets).tobytes(), n
+    ends = np.array([s.lam(1.0), s.lam(0.0)])
+    assert s.time_of_lambda(ends).tobytes() == \
+        time_of_lambda_oracle(s, ends).tobytes()
+    for bad in (ends[1] + 1e-9, ends[0] - 1e-9, np.nan,
+                np.append(targets[:3], ends[1] + 1.0)):
+        with pytest.raises(ValidationError):
+            s.time_of_lambda(bad)
+        with pytest.raises(ValidationError):
+            time_of_lambda_oracle(s, bad)
 
 
 @settings(max_examples=50, deadline=None)
