@@ -93,10 +93,9 @@ class DiscreteSchedule:
             raise ValidationError("lambda target outside schedule range")
         lo = np.zeros_like(target)  # lam(lo) > target > lam(hi)
         hi = np.ones_like(target)
-        moving = np.ones(target.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            moving &= (mid != lo) & (mid != hi)
+            moving = (mid != lo) & (mid != hi)  # a stopped interval stays put
             if not moving.any():
                 break
             above = self.lam(mid) > target
