@@ -215,6 +215,12 @@ class Mixture:
             scales[..., 1] = (scales[..., 1] - scales[..., 0]) / self.pooling.size
         return scales, half_logdet
 
+    def _undiffused(self):
+        """One row of `_coefficients` at (alpha, sigma) = (1, 0): the
+        mixture itself."""
+        scales, half_logdet = self._coefficients(np.ones(1), np.zeros(1))
+        return scales[0], half_logdet[0]
+
     def _pull(self, x: np.ndarray, alpha: float, scales, half_logdet):
         """Minus the score of the diffused mixture at rows x (n, d):
         sum_j r_j C_j^-1 v_j, with C_j^-1 v = v / A + S^T (gap S v)."""
@@ -302,9 +308,7 @@ def _terms(mix: Mixture, x: np.ndarray, alpha: float, scales, half_logdet):
 
 def mixture_log_density(mix: Mixture, x):
     xb, single = _as_batch(x, mix.dim)
-    # The coefficients of the mixture itself, (alpha, sigma) = (1, 0).
-    scales, half_logdet = mix._coefficients(np.ones(1), np.zeros(1))
-    joint = _terms(mix, xb, 1.0, scales[0], half_logdet[0])[0]
+    joint = _terms(mix, xb, 1.0, *mix._undiffused())[0]
     out = _logsumexp(joint, axis=0)[0] - 0.5 * mix.dim * math.log(2 * math.pi)
     return float(out[0]) if single else out
 

@@ -242,9 +242,8 @@ def mixture_score(mix: Mixture, x):
     """Gradient of log density, sum_j r_j C_j^-1 (m_j - x), at x (d,) or
     (n, d): minus the model's pull of the undiffused mixture."""
     x = np.asarray(x, dtype=np.float64)
-    scales, half_logdet = mix._coefficients(np.ones(1), np.zeros(1))
-    return -mix._pull(np.atleast_2d(x), 1.0, scales[0],
-                      half_logdet[0]).reshape(x.shape)
+    return -mix._pull(np.atleast_2d(x), 1.0,
+                      *mix._undiffused()).reshape(x.shape)
 
 
 def log_density_x0_given_y(world: GmmWorld, x_0, y):

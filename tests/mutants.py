@@ -1,14 +1,16 @@
 """Hand mutants of src/ and whether tier-1 kills them.
 
-    python3 tests/mutants.py [INDEX ...]
+    python3 tests/mutants.py
 
-Each entry of `MUTANTS` replaces one piece of text in one file. For each
-entry (or only the given indices), the script copies the repository to a
-temporary directory, applies the mutant there and runs tier-1 with `-x`.
-It prints `killed` when the suite fails, `survived` when it passes, and
-`stale` when the old text is not in the file exactly once. A survivor needs
-a test, or a reason that says why it is equivalent. Each run takes up to a
-full tier-1, so this is a tool to run by hand; pytest does not collect it.
+The script first runs tier-1 on an unmutated copy of the repository and
+stops if it fails, so that a kill cannot come from a fault of the copy.
+Then, for each entry of `MUTANTS`, which replaces one piece of text in one
+file, it copies the repository to a temporary directory, applies the mutant
+there and runs tier-1 with `-x`. It prints `killed` with the first failing
+test when the suite fails, `survived` when it passes, and `stale` when the
+old text is not in the file exactly once. A survivor needs a test, or a
+reason that says why it is equivalent. Each run takes up to a full tier-1,
+so this is a tool to run by hand; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -48,35 +50,45 @@ MUTANTS = [
 ]
 
 
-def run_mutant(mutant: Mutant) -> str:
-    """'killed', 'survived' or 'stale' for one mutant."""
+def run_tier1(mutant: Mutant | None) -> tuple[str, str]:
+    """Tier-1 on a copy of the repository with `mutant` applied (none for
+    the baseline): ('stale', ''), ('survived', '') or ('killed', first
+    failing test id, or the tail of pytest's output when it names none)."""
     with tempfile.TemporaryDirectory() as tmp:
         repo = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, repo, ignore=IGNORED)
-        path = os.path.join(repo, mutant.file)
-        with open(path) as fh:
-            text = fh.read()
-        if text.count(mutant.old) != 1:
-            return "stale"
-        with open(path, "w") as fh:
-            fh.write(text.replace(mutant.old, mutant.new))
+        if mutant is not None:
+            path = os.path.join(repo, mutant.file)
+            with open(path) as fh:
+                text = fh.read()
+            if text.count(mutant.old) != 1:
+                return "stale", ""
+            with open(path, "w") as fh:
+                fh.write(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
-            cwd=repo, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-    return "survived" if result.returncode == 0 else "killed"
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+             "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+            cwd=repo, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+    if result.returncode == 0:
+        return "survived", ""
+    lines = result.stdout.splitlines()
+    failed = [ln for ln in lines if ln.startswith(("FAILED ", "ERROR "))]
+    return "killed", failed[0] if failed else " | ".join(lines[-3:])
 
 
-def main(argv: list[str]) -> int:
-    picked = [int(a) for a in argv] or range(len(MUTANTS))
-    for i in picked:
-        mutant = MUTANTS[i]
-        print(f"{i} {run_mutant(mutant)}: {mutant.file}: {mutant.reason}",
-              flush=True)
+def main() -> int:
+    outcome, detail = run_tier1(None)
+    if outcome != "survived":
+        print(f"tier-1 fails without a mutant: {detail}", flush=True)
+        return 1
+    for i, mutant in enumerate(MUTANTS):
+        outcome, detail = run_tier1(mutant)
+        print(f"{i} {outcome}: {mutant.file}: {mutant.reason}"
+              + (f"\n    {detail}" if detail else ""), flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
