@@ -1,12 +1,15 @@
-"""Regenerate the golden CLI outputs under tests/golden/.
+"""Write the golden CLI outputs of named cases under tests/golden/.
 
-    python3 tests/golden/regenerate.py
+    python3 tests/golden/regenerate.py CASE [CASE ...]
 
-Writes the shared inputs to `inputs/`, then runs every case of `CASES` in a
-fresh working directory (the inputs copied in, `--out out`) and stores its
-argv, stdout and output files in `<case>/`. `tests/test_golden.py` runs the
-same argv and compares. Regenerate only when an output is meant to change,
-and say why with the change.
+Runs each named case of `CASES` in a fresh working directory (the shared
+inputs copied in, `--out out`) and stores its argv, stdout and output files
+in `<case>/`. Cases that are not named are left as they are, so adding a
+case does not re-baseline the others. No name, or a name that is not in
+`CASES`, is a usage error. The shared inputs are written to `inputs/` only
+when that directory is missing; delete it to rebuild them (every case reads
+them). `tests/test_golden.py` runs the same argv and compares. Regenerate a
+case only when its output is meant to change, and say why with the change.
 """
 
 from __future__ import annotations
@@ -88,6 +91,13 @@ CASES = {
     "ablate-k": ["ablate-k", "--set", "search.references=4",
                  "--set", "run.sizes=[2,4,8]", "--set", "run.repeats=2",
                  "--set", "run.holdout=4"],
+    "gen-world-flat": ["gen-world", "--config", "inputs/flat.json",
+                       "--set", "run.pairs=3", "--seed", "5"],
+    "search-l2-dpm2": ["search", "--set", "run.pairs_dir=inputs/pairs",
+                       "--set", "solver.kind=dpm2", "--set", "solver.steps=20",
+                       "--set", "search.candidates=12",
+                       "--set", "search.references=6",
+                       "--set", "run.holdout=4", "--set", "search.n_random=3"],
 }
 
 
@@ -127,9 +137,17 @@ def run_case(argv, work_dir) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def main() -> int:
-    write_inputs()
-    for name, argv in CASES.items():
+def main(names) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if not names or unknown:
+        print("usage: regenerate.py CASE [CASE ...]"
+              + (f"\nunknown case: {' '.join(unknown)}" if unknown else "")
+              + f"\ncases: {' '.join(CASES)}", file=sys.stderr)
+        return 2
+    if not os.path.isdir(INPUTS):
+        write_inputs()
+    for name in names:
+        argv = CASES[name]
         case_dir = os.path.join(HERE, name)
         shutil.rmtree(case_dir, ignore_errors=True)
         with tempfile.TemporaryDirectory() as work:
@@ -148,4 +166,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,5 +1,6 @@
-"""Golden CLI outputs: small `sample`, `independence`, `benchmark` and
-`search` runs reproduce the files under tests/golden/.
+"""Golden CLI outputs: small `gen-world`, `sample`, `independence`,
+`benchmark`, `search` and ablation runs reproduce the files under
+tests/golden/.
 
 Numbers match within `benchmarks/checks.py`'s file tolerances (1e-9
 relative), stdout within its stdout tolerances, and PGM pixels within one
@@ -70,6 +71,12 @@ def _compare_manifest(name, got_path, want_path, tmp_path) -> list[str]:
     return _compare_file(name, *paths)
 
 
+def _files(directory) -> list[str]:
+    """Every file under `directory`, as a path relative to it."""
+    return [os.path.relpath(os.path.join(root, name), directory)
+            for root, _, names in os.walk(directory) for name in names]
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_golden_outputs(case, tmp_path):
     want_dir = os.path.join(GOLDEN, case)
@@ -80,8 +87,8 @@ def test_golden_outputs(case, tmp_path):
     code, stdout = run_case(argv, str(work))
     assert code == 0
     (work / "out" / "stdout.txt").write_text(stdout)
-    names = sorted(set(os.listdir(want_dir)) - {"argv.json"})
-    assert sorted(os.listdir(work / "out")) == names
+    names = sorted(set(_files(want_dir)) - {"argv.json"})
+    assert sorted(_files(work / "out")) == names
     problems = []
     for name in names:
         got, want = str(work / "out" / name), os.path.join(want_dir, name)
