@@ -36,8 +36,8 @@ class BenchmarkRow:
 
 
 def benchmark_samplers(world: GmmWorld, test_pairs, solver_list, bc,
-                       metric_list, seed: int) -> list[BenchmarkRow]:
-    """Per-solver, per-metric mean distance over the test pairs.
+                       metric: Metric, seed: int) -> list[BenchmarkRow]:
+    """Per-solver mean distance over the test pairs, one row per solver.
 
     Without a bc each pair gets its own x_T from (seed, pair index); with a
     bc every pair starts from the same tensor (the searched-BC protocol).
@@ -49,7 +49,7 @@ def benchmark_samplers(world: GmmWorld, test_pairs, solver_list, bc,
     rows = []
     for cfg in solver_list:
         model = AnalyticDenoiser(world, cfg.schedule)
-        values = {metric.name: [] for metric in metric_list}
+        values = []
         for i, (z, y) in enumerate(test_pairs):
             x_t = bc if bc is not None else gauss(seed, i, z.shape)
             if cfg.kind is SolverKind.DDPM_ANCESTRAL:
@@ -58,18 +58,16 @@ def benchmark_samplers(world: GmmWorld, test_pairs, solver_list, bc,
                     x_t, y)
             else:
                 out = project(model, cfg, x_t, y)
-            for metric in metric_list:
-                values[metric.name].append(metric.dist(out, z))
-        for metric in metric_list:
-            vals = np.asarray(values[metric.name])
-            rows.append(BenchmarkRow(
-                solver=cfg.label(),
-                uses_bc=bc is not None,
-                metric=metric.name,
-                mean=float(vals.mean()),
-                std=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                n=int(vals.size),
-            ))
+            values.append(metric.dist(out, z))
+        vals = np.asarray(values)
+        rows.append(BenchmarkRow(
+            solver=cfg.label(),
+            uses_bc=bc is not None,
+            metric=metric.name,
+            mean=float(vals.mean()),
+            std=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
+            n=int(vals.size),
+        ))
     return rows
 
 
@@ -112,8 +110,8 @@ def ablate_reference_size(world: GmmWorld, pool_pairs, sizes, repeats: int,
         raise ValidationError("requested size exceeds the reference pool")
     model = AnalyticDenoiser(world, solver.schedule)
     cands = CandidateSet(seed=seed, size=k_fixed, dim=world.dim)
-    pool_refs = ReferenceSet(tuple(pool_pairs), "ablation-pool")
-    hold_refs = ReferenceSet(tuple(holdout_pairs), "ablation-holdout")
+    pool_refs = ReferenceSet(tuple(pool_pairs))
+    hold_refs = ReferenceSet(tuple(holdout_pairs))
     pool_table = objective_table(cands, pool_refs, solver, model, metric, workers)
     hold_table = objective_table(cands, hold_refs, solver, model, metric, workers)
     per_repeat = np.empty((len(sizes), repeats))
@@ -137,8 +135,8 @@ def ablate_candidate_size(world: GmmWorld, refs_fixed, sizes, repeats: int,
     share one held-out table.
     """
     model = AnalyticDenoiser(world, solver.schedule)
-    refs = ReferenceSet(tuple(refs_fixed), "ablation-refs")
-    hold_refs = ReferenceSet(tuple(holdout_pairs), "ablation-holdout")
+    refs = ReferenceSet(tuple(refs_fixed))
+    hold_refs = ReferenceSet(tuple(holdout_pairs))
     k_max = int(max(sizes))
     per_repeat = np.empty((len(sizes), repeats))
     for r in range(repeats):
@@ -165,7 +163,7 @@ def independence_matrix(world: GmmWorld, conditions, candidates: CandidateSet,
     if candidates.size < 2:
         raise ValidationError("independence needs at least 2 candidates, "
                               f"got {candidates.size}")
-    refs = ReferenceSet(tuple(conditions), "independence")
+    refs = ReferenceSet(tuple(conditions))
     model = AnalyticDenoiser(world, solver.schedule)
     table = objective_table(candidates, refs, solver, model, metric, workers)
     n = len(conditions)

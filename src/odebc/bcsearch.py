@@ -41,10 +41,9 @@ class CandidateSet:
 
 @dataclass(frozen=True, eq=False)
 class ReferenceSet:
-    """R paired (z, y) tensors plus where they came from."""
+    """R paired (z, y) tensors of one shape each."""
 
     pairs: tuple
-    provenance: str = ""
 
     def __post_init__(self):
         if len(self.pairs) < 1:
@@ -57,12 +56,6 @@ class ReferenceSet:
 
     def __len__(self):
         return len(self.pairs)
-
-    def subset(self, indices) -> "ReferenceSet":
-        return ReferenceSet(
-            pairs=tuple(self.pairs[i] for i in indices),
-            provenance=f"{self.provenance}[subset]",
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,10 +126,8 @@ def _cmd_search(args) -> int:
     world, _, solver, model, metric = _build_all(cfg)
     workers = cfg["run"]["workers"]
     sc = cfg["search"]
-    refs = ReferenceSet(
-        tuple(_reference_pairs(cfg, world, sc["references"],
-                               sc["reference_seed"])),
-        provenance=f"seed={sc['reference_seed']}")
+    refs = ReferenceSet(tuple(_reference_pairs(cfg, world, sc["references"],
+                                               sc["reference_seed"])))
     cands = CandidateSet(seed=sc["candidate_seed"],
                          size=sc["candidates"], dim=world.dim)
     result = search_optimal_bc(cands, refs, solver, model, metric, workers)
@@ -154,8 +152,7 @@ def _cmd_search(args) -> int:
     n_holdout = cfg["run"]["holdout"]
     if n_holdout:
         holdout = ReferenceSet(
-            tuple(sample_pairs(world, n_holdout, cfg["run"]["holdout_seed"])),
-            provenance="holdout")
+            tuple(sample_pairs(world, n_holdout, cfg["run"]["holdout_seed"])))
         report = held_out_gain(result.best_bc, holdout, solver, model, metric,
                                n_random=sc["n_random"],
                                seed=cfg["run"]["random_seed"],
@@ -211,7 +208,7 @@ def _cmd_benchmark(args) -> int:
     pairs = _reference_pairs(cfg, world, cfg["run"]["test_pairs"],
                              cfg["run"]["test_seed"])
     bc = read_tensor(args.bc) if args.bc else None
-    rows = benchmark_samplers(world, pairs, solvers, bc, [metric],
+    rows = benchmark_samplers(world, pairs, solvers, bc, metric,
                               cfg["run"]["seed"])
     _write_csv(
         os.path.join(out_dir, "benchmark.csv"),
@@ -329,12 +326,16 @@ def _verify_world_d2() -> GmmWorld:
     )
 
 
-def _check_score_fd() -> tuple[bool, str]:
+# The four checks run at verify's sizes by default. The acceptance tests
+# (criteria 1-4) call the same functions, and this helper, at larger sizes.
+def _check_score_fd(times=(0.03, 0.3, 0.7, 0.95)) -> tuple[bool, str]:
+    """The score of the prior and of a posterior against central finite
+    differences of the explicit log density, at each time in `times`."""
     world = _verify_world_d8()
     sched = make_linear_vp_schedule(1000, 1e-4, 0.02)
     model = AnalyticDenoiser(world, sched)
     worst = 0.0
-    for i, t in enumerate((0.03, 0.3, 0.7, 0.95)):
+    for i, t in enumerate(times):
         alpha, sigma = sched.alpha(t), sched.sigma(t)
         _, y = sample_pairs(world, 1, 40 + i)[0]
         cases = [(prior_mixture(world), BLANK),
@@ -358,6 +359,8 @@ def _check_score_fd() -> tuple[bool, str]:
 
 
 def _check_telescoping() -> tuple[bool, str]:
+    """DDIM under the zero denoiser is the exact scaling alpha(0) /
+    alpha(t_start), on plans of 2, 50 and 1000 points."""
     sched = make_linear_vp_schedule(1000, 1e-4, 0.02)
     model = zero_denoiser()
     x_t = gauss(3, 0, (8,))
@@ -372,7 +375,10 @@ def _check_telescoping() -> tuple[bool, str]:
     return worst < 1e-12, f"max rel err {worst:.2e} (tol 1e-12)"
 
 
-def _check_ddim_convergence() -> tuple[bool, str]:
+def _convergence_errors(runs) -> list[float]:
+    """The relative error of each (kind, n) projection, n plan points,
+    against one euler-10000 reference, on the d=8 world and one
+    observation."""
     world = _verify_world_d8()
     sched = make_linear_vp_schedule(1000, 1e-4, 0.02)
     model = AnalyticDenoiser(world, sched)
@@ -381,21 +387,28 @@ def _check_ddim_convergence() -> tuple[bool, str]:
     ref_cfg = build_solver({"kind": "euler", "steps": 10000}, sched)
     ref = run_solver(model, ref_cfg, x_t, y)
     errs = []
-    for n in (10, 25, 50, 100):
-        cfg = SolverConfig(kind=SolverKind.DDIM, schedule=sched,
+    for kind, n in runs:
+        cfg = SolverConfig(kind=kind, schedule=sched,
                            plan=resample_timesteps(sched, n))
         out = project(model, cfg, x_t, y)
         errs.append(float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
+    return errs
+
+
+def _check_ddim_convergence() -> tuple[bool, str]:
+    """DDIM's error against the reference falls with every plan size."""
+    errs = _convergence_errors([(SolverKind.DDIM, n) for n in (10, 25, 50, 100)])
     ok = all(a > b for a, b in zip(errs, errs[1:])) and errs[-1] < 1e-2
     return ok, ("errs " + "/".join(f"{e:.1e}" for e in errs)
                 + " (monotone, last < 1e-02)")
 
 
-def _check_marginals() -> tuple[bool, str]:
+def _check_marginals(n=1500) -> tuple[bool, str]:
+    """n DDPM and n DDIM samples of the d=2 prior against n direct draws,
+    by the energy-distance test."""
     world = _verify_world_d2()
     sched = make_linear_vp_schedule(1000, 1e-4, 0.02)
     model = AnalyticDenoiser(world, sched)
-    n = 1500
     direct = mixture_sample(prior_mixture(world), n, generator(8, 1))
     p_values = []
     for kind, seed in ((SolverKind.DDPM_ANCESTRAL, 9), (SolverKind.DDIM, 10)):

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlanMismatchError, ValidationError
-
-
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5).astype(np.int64)
+from .errors import PlanMismatchError, ValidationError, require_integer
 
 
 class DiscreteSchedule:
@@ -128,7 +124,6 @@ class TimestepPlan:
 
     times: np.ndarray
     steps: np.ndarray | None = None
-    segment_spec: tuple[int, ...] | None = None
 
     @property
     def n_points(self) -> int:
@@ -144,57 +139,17 @@ class TimestepPlan:
         return self.steps
 
 
-def _plan_from_indices(
-    s: DiscreteSchedule, ascending: np.ndarray, segment_spec=None
-) -> TimestepPlan:
-    if np.any(np.diff(ascending) <= 0):
-        raise ValidationError("resampled plan has duplicate indices")
-    if ascending[0] != 0 or ascending[-1] != s.total_steps - 1:
-        raise ValidationError("plan must span step 0 through step T-1")
-    steps = ascending[::-1].copy()
-    times = steps.astype(np.float64) / (s.total_steps - 1)
-    return TimestepPlan(times=times, steps=steps, segment_spec=segment_spec)
-
-
-def resample_timesteps(s: DiscreteSchedule, spec) -> TimestepPlan:
-    """Reduce the T-step grid to a plan: uniform count or per-segment counts.
-
-    An integer spec places that many evenly spaced indices (ends included).
-    A sequence spec partitions [0, T) into equal ranges and spaces each
-    segment's count inside its range; rounding is half-up and collisions
-    are an error rather than silently deduped.
+def resample_timesteps(s: DiscreteSchedule, n: int) -> TimestepPlan:
+    """Reduce the T-step grid to a plan of n evenly spaced indices, step
+    T-1 and step 0 included, each rounded half up. n is an integer in
+    [2, T]; the spacing is then at least one step, so no two indices meet.
     """
     total = s.total_steps
-    if np.isscalar(spec):
-        n = int(spec)
-        if n < 2 or n > total:
-            raise ValidationError(f"uniform plan size {n} outside [2, {total}]")
-        idx = _round_half_up(np.linspace(0.0, total - 1, n))
-        return _plan_from_indices(s, idx)
-
-    counts = [int(c) for c in spec]
-    if not counts or any(c < 1 for c in counts):
-        raise ValidationError("segment counts must be positive")
-    if sum(counts) > total:
-        raise ValidationError("segment counts sum exceeds total steps")
-    size_per, extra = divmod(total, len(counts))
-    start = 0
-    picked = []
-    for i, count in enumerate(counts):
-        size = size_per + (1 if i < extra else 0)
-        if count > size:
-            raise ValidationError(
-                f"segment {i} wants {count} steps but its range holds {size}"
-            )
-        if count == 1:
-            picked.append(np.array([start], dtype=np.int64))
-        else:
-            stride = (size - 1) / (count - 1)
-            picked.append(
-                _round_half_up(start + stride * np.arange(count, dtype=np.float64))
-            )
-        start += size
-    return _plan_from_indices(s, np.concatenate(picked), tuple(counts))
+    require_integer(n, "plan size", minimum=2, maximum=total)
+    ascending = np.floor(np.linspace(0.0, total - 1, n) + 0.5).astype(np.int64)
+    steps = ascending[::-1].copy()
+    return TimestepPlan(times=steps.astype(np.float64) / (total - 1),
+                        steps=steps)
 
 
 def uniform_continuous_plan(n_steps: int) -> TimestepPlan:

@@ -1,7 +1,9 @@
 """Acceptance gate: the nine product checks, one test each.
 
 Every test prints a `criterion N: PASS/FAIL (...)` line with the measured
-numbers (run pytest -s to see the lines on passing runs). Checks 5-9 drive
+numbers (run pytest -s to see the lines on passing runs). Checks 1-4 run
+`odebc verify`'s own checks (`cli._check_*` and `cli._convergence_errors`),
+at larger sizes where a check takes a size. Checks 5-9 drive
 the installed CLI end to end on the default 8x8 world; those runs are
 shared through a module fixture and executed at two worker counts so the
 determinism check can byte-compare the outputs.
@@ -16,25 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import flat_world
 from odebc import cli
-from odebc.config import build_solver
-from odebc.metrics import energy_distance_test
-from odebc.model import (
-    BLANK,
-    AnalyticDenoiser,
-    conditional_posterior,
-    mixture_log_density,
-    mixture_sample,
-    prior_mixture,
-    zero_denoiser,
-)
-from odebc.rng import gauss, generator
-from odebc.sampler import SolverConfig, SolverKind, project, run_solver
-from odebc.schedule import make_linear_vp_schedule, resample_timesteps
-from odebc.worldgen import GmmWorld, sample_pairs
-
-SCHED = make_linear_vp_schedule(1000, 1e-4, 0.02)
+from odebc.sampler import SolverKind
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -44,66 +29,24 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_score_matches_finite_differences():
     t0 = time.perf_counter()
-    world = flat_world(seed=7)
-    model = AnalyticDenoiser(world, SCHED)
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for i in range(100):
-        t = float(rng.uniform(0.02, 0.98))
-        alpha, sigma = SCHED.alpha(t), SCHED.sigma(t)
-        _, y = sample_pairs(world, 1, 200 + i)[0]
-        mix_t = conditional_posterior(world, y).diffused(alpha, sigma)
-        x = mixture_sample(mix_t, 1, generator(42, i))[0]
-        # central differences of the explicit log density, step scaled to
-        # the narrowest mixture direction
-        h = 4e-5 * np.sqrt(mix_t.lam_par.min())
-        fd = np.empty(world.dim)
-        for j in range(world.dim):
-            e = np.zeros(world.dim)
-            e[j] = h
-            fd[j] = (mixture_log_density(mix_t, x + e)
-                     - mixture_log_density(mix_t, x - e)) / (2 * h)
-        eps = model.eps(x, y, t)
-        worst = max(worst, float(np.linalg.norm(-eps / sigma - fd)
-                                 / np.linalg.norm(fd)))
+    times = [float(rng.uniform(0.02, 0.98)) for _ in range(100)]
+    ok, detail = cli._check_score_fd(times)
     secs = time.perf_counter() - t0
-    _report(1, worst < 1e-5 and secs < 10.0,
-            f"100 points, max rel err {worst:.2e} (tol 1e-05), {secs:.1f}s")
+    _report(1, ok and secs < 10.0,
+            f"100 times, prior and posterior, {detail}, {secs:.1f}s")
 
 
 def test_criterion_2_telescoping_with_zero_denoiser():
-    model = zero_denoiser()
-    x_t = gauss(3, 0, (8,))
-    worst = 0.0
-    for n_points in (2, 50, 1000):
-        cfg = SolverConfig(kind=SolverKind.DDIM, schedule=SCHED,
-                           plan=resample_timesteps(SCHED, n_points))
-        out = run_solver(model, cfg, x_t, BLANK)
-        expect = SCHED.alpha(0.0) / SCHED.alpha(cfg.plan.times[0]) * x_t
-        worst = max(worst, float(np.max(np.abs(out - expect))))
-    _report(2, worst < 1e-12,
-            f"plans 2/50/1000 points, max per-element err {worst:.2e} "
-            f"(tol 1e-12)")
+    ok, detail = cli._check_telescoping()
+    _report(2, ok, f"plans 2/50/1000 points, {detail}")
 
 
 def test_criterion_3_solver_convergence_order():
     t0 = time.perf_counter()
-    world = flat_world(seed=7)
-    model = AnalyticDenoiser(world, SCHED)
-    _, y = sample_pairs(world, 1, 11)[0]
-    x_t = gauss(100, 1, (8,))
-    ref = run_solver(model, build_solver({"kind": "euler", "steps": 10000},
-                                         SCHED), x_t, y)
-
-    def err(kind, n):
-        cfg = SolverConfig(kind=kind, schedule=SCHED,
-                           plan=resample_timesteps(SCHED, n))
-        out = project(model, cfg, x_t, y)
-        return float(np.linalg.norm(out - ref) / np.linalg.norm(ref))
-
-    ddim = [err(SolverKind.DDIM, n) for n in (10, 25, 50, 100)]
-    dpm2_20 = err(SolverKind.DPM_SOLVER_2, 20)
-    ddim_20 = err(SolverKind.DDIM, 20)
+    *ddim, dpm2_20, ddim_20 = cli._convergence_errors(
+        [(SolverKind.DDIM, n) for n in (10, 25, 50, 100)]
+        + [(SolverKind.DPM_SOLVER_2, 20), (SolverKind.DDIM, 20)])
     secs = time.perf_counter() - t0
     ok = (all(a > b for a, b in zip(ddim, ddim[1:])) and ddim[-1] < 1e-2
           and dpm2_20 < ddim_20 and secs < 60.0)
@@ -115,25 +58,10 @@ def test_criterion_3_solver_convergence_order():
 
 def test_criterion_4_sampler_marginals_match_world():
     t0 = time.perf_counter()
-    world = GmmWorld(weights=np.array([0.6, 0.4]),
-                     means=np.array([[1.2, -0.8], [-1.0, 0.6]]),
-                     stds=np.array([0.5, 0.7]), tau=0.3, block=1)
-    model = AnalyticDenoiser(world, SCHED)
-    n = 10_000
-    direct = mixture_sample(prior_mixture(world), n, generator(8, 1))
-    p_values = []
-    for kind, seed in ((SolverKind.DDPM_ANCESTRAL, 9), (SolverKind.DDIM, 10)):
-        cfg = SolverConfig(kind=kind, schedule=SCHED,
-                           plan=resample_timesteps(SCHED, 1000))
-        samples = run_solver(model, cfg, gauss(seed, 0, (n, 2)), BLANK)
-        res = energy_distance_test(direct, samples, n_permutations=200,
-                                   seed=1, max_points=600)
-        p_values.append(res.p_value)
+    ok, detail = cli._check_marginals(n=10_000)
     secs = time.perf_counter() - t0
-    ok = all(p > 0.01 for p in p_values) and secs < 120.0
-    _report(4, ok,
-            f"1e4 samples, ddpm-1000 p {p_values[0]:.3f} / ddim-1000 p "
-            f"{p_values[1]:.3f} (both > 0.01), {secs:.0f}s")
+    _report(4, ok and secs < 120.0,
+            f"1e4 samples, ddpm-1000 / ddim-1000 {detail}, {secs:.0f}s")
 
 
 # The CLI studies below all run on the default world (8x8, block 2, two

@@ -49,7 +49,7 @@ def test_benchmark_degenerate_world_floor():
         SolverConfig(kind=SolverKind.EULER_REF, schedule=SCHED,
                      plan=uniform_continuous_plan(1000)),
     ]
-    rows = benchmark_samplers(world, pairs, solvers, None, [L2], seed=17)
+    rows = benchmark_samplers(world, pairs, solvers, None, L2, seed=17)
     assert [r.solver for r in rows] == [
         "ddpm-1000", "ddim-50", "dpm2-20", "euler-1000"]
     means = [r.mean for r in rows]
@@ -61,21 +61,21 @@ def test_benchmark_degenerate_world_floor():
 def test_benchmark_rows_and_determinism():
     world = flat_world()
     pairs = [sample_pair(world, 11, i) for i in range(3)]
-    metrics = [L2, get_metric("psnr")]
-    rows = benchmark_samplers(world, pairs, [ddim(20), ddim(10)], None,
-                              metrics, seed=5)
-    assert len(rows) == 4
-    assert {r.metric for r in rows} == {"l2", "psnr"}
-    assert rows == benchmark_samplers(world, pairs, [ddim(20), ddim(10)],
-                                      None, metrics, seed=5)
-    again = benchmark_samplers(world, pairs, [ddim(20)], np.zeros(8), [L2],
+    for metric in (L2, get_metric("psnr")):
+        rows = benchmark_samplers(world, pairs, [ddim(20), ddim(10)], None,
+                                  metric, seed=5)
+        assert [(r.solver, r.metric) for r in rows] == [
+            ("ddim-20", metric.name), ("ddim-10", metric.name)]
+        assert rows == benchmark_samplers(world, pairs, [ddim(20), ddim(10)],
+                                          None, metric, seed=5)
+    again = benchmark_samplers(world, pairs, [ddim(20)], np.zeros(8), L2,
                                seed=5)
     assert again[0].uses_bc and again[0].std > 0
 
 
 def test_benchmark_needs_pairs():
     with pytest.raises(ValidationError):
-        benchmark_samplers(flat_world(), [], [ddim(10)], None, [L2], 0)
+        benchmark_samplers(flat_world(), [], [ddim(10)], None, L2, 0)
 
 
 def test_benchmark_fixed_bc_draws_nothing():
@@ -85,23 +85,22 @@ def test_benchmark_fixed_bc_draws_nothing():
     pairs = [sample_pair(world, 11, i) for i in range(3)]
     bc = np.zeros(8)
     reset_draw_count()
-    benchmark_samplers(world, pairs, [ddim(10), ddim(20)], bc, [L2], seed=5)
+    benchmark_samplers(world, pairs, [ddim(10), ddim(20)], bc, L2, seed=5)
     assert draw_count() == 0
-    benchmark_samplers(world, pairs, [ddim(10), ddim(20)], None, [L2], seed=5)
+    benchmark_samplers(world, pairs, [ddim(10), ddim(20)], None, L2, seed=5)
     assert draw_count() == 6
 
 
 def test_benchmark_searched_bc_beats_per_pair_noise():
     world = flat_world()
     model = AnalyticDenoiser(world, SCHED)
-    refs = ReferenceSet(tuple(sample_pair(world, 31, i) for i in range(12)),
-                        "refs")
+    refs = ReferenceSet(tuple(sample_pair(world, 31, i) for i in range(12)))
     res = search_optimal_bc(CandidateSet(seed=41, size=32, dim=8), refs,
                             ddim(50), model, L2, workers=4)
     hold = [sample_pair(world, 32, i) for i in range(12)]
     with_bc = benchmark_samplers(world, hold, [ddim(50)], res.best_bc,
-                                 [L2], seed=5)
-    without = benchmark_samplers(world, hold, [ddim(50)], None, [L2], seed=5)
+                                 L2, seed=5)
+    without = benchmark_samplers(world, hold, [ddim(50)], None, L2, seed=5)
     assert with_bc[0].mean <= without[0].mean
 
 
