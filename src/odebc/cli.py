@@ -326,8 +326,8 @@ def _verify_world_d2() -> GmmWorld:
     )
 
 
-# The four checks run at verify's sizes by default. The acceptance tests
-# (criteria 1-4) call the same functions, and this helper, at larger sizes.
+# The checks' default sizes are verify's. Acceptance criteria 1-4 call
+# these checks and `_convergence_errors` at larger sizes.
 def _check_score_fd(times=(0.03, 0.3, 0.7, 0.95)) -> tuple[bool, str]:
     """The score of the prior and of a posterior against central finite
     differences of the explicit log density, at each time in `times`."""
@@ -376,9 +376,9 @@ def _check_telescoping() -> tuple[bool, str]:
 
 
 def _convergence_errors(runs) -> list[float]:
-    """The relative error of each (kind, n) projection, n plan points,
-    against one euler-10000 reference, on the d=8 world and one
-    observation."""
+    """The relative error against one euler-10000 reference of each
+    projection in `runs`, (solver kind, plan points) pairs, on the d=8
+    world under one observation."""
     world = _verify_world_d8()
     sched = make_linear_vp_schedule(1000, 1e-4, 0.02)
     model = AnalyticDenoiser(world, sched)
@@ -396,7 +396,8 @@ def _convergence_errors(runs) -> list[float]:
 
 
 def _check_ddim_convergence() -> tuple[bool, str]:
-    """DDIM's error against the reference falls with every plan size."""
+    """DDIM's error against the reference falls as the plan grows, to
+    under 1e-2 at 100 points."""
     errs = _convergence_errors([(SolverKind.DDIM, n) for n in (10, 25, 50, 100)])
     ok = all(a > b for a, b in zip(errs, errs[1:])) and errs[-1] < 1e-2
     return ok, ("errs " + "/".join(f"{e:.1e}" for e in errs)

@@ -161,7 +161,8 @@ def main(names) -> int:
             fh.write("\n")
         with open(os.path.join(case_dir, "stdout.txt"), "w") as fh:
             fh.write(stdout)
-        print(f"{name}: {len(os.listdir(case_dir)) - 1} files")
+        count = sum(len(files) for _, _, files in os.walk(case_dir))
+        print(f"{name}: {count - 1} files")
     return 0
 
 

@@ -47,6 +47,38 @@ MUTANTS = [
     Mutant("src/odebc/schedule.py", "above = self.lam(mid) > target",
            "above = self.lam(mid) < target",
            "the batched lambda bisection keeps the wrong half"),
+    Mutant("src/odebc/model.py",
+           "    for _ in range(2):\n        v = v - np.einsum",
+           "    for _ in range(1):\n        v = v - np.einsum",
+           "one Gram-Schmidt pass: the frame of nearly parallel means is not "
+           "orthonormal"),
+    Mutant("src/odebc/model.py", "RANK_TOL = 1e-12", "RANK_TOL = 1e-3",
+           "the direction between two means 1e-6 apart is dropped"),
+    Mutant("src/odebc/model.py", "_squares(rest_q) - along * along",
+           "_squares(rest_q)", "q keeps the part of the state along w"),
+    Mutant("src/odebc/sampler.py", "lam[:-1] + 0.5 * h", "lam[:-1] + 0.4 * h",
+           "dpm2's midpoint is not halfway in log-SNR"),
+    Mutant("src/odebc/sampler.py", "        if kp == 0:\n            x = mean",
+           "        if kp < 0:\n            x = mean",
+           "DDPM adds noise on its last step"),
+    Mutant("src/odebc/metrics.py", "stats[1:] >= stats[0]",
+           "stats[1:] > stats[0]",
+           "a permutation that ties the observed energy statistic is not "
+           "counted"),
+    Mutant("src/odebc/metrics.py", "total + 0.1 * _row_means",
+           "total + 0.2 * _row_means", "gradperc's l2 weight changed"),
+    Mutant("src/odebc/bcsearch.py", "random_means.std(ddof=1)",
+           "random_means.std(ddof=0)", "the held-out gain's std is biased"),
+    Mutant("src/odebc/analysis.py", "(world.means - 3 * world.stds",
+           "(world.means - 2 * world.stds", "the display range is narrower"),
+    Mutant("src/odebc/cli.py", "return worst < 1e-5,", "return worst < 1e-3,",
+           "verify's score check passes a 1e-4 error"),
+    Mutant("src/odebc/cli.py", "ok = all(p > 0.01 for p in p_values)",
+           "ok = all(p > 0.0 for p in p_values)",
+           "verify's marginals check passes any p-value"),
+    Mutant("src/odebc/cli.py", '{"kind": "euler", "steps": 10000}',
+           '{"kind": "euler", "steps": 200}',
+           "the convergence reference is a coarse euler solve"),
 ]
 
 

@@ -3,10 +3,10 @@
 Every test prints a `criterion N: PASS/FAIL (...)` line with the measured
 numbers (run pytest -s to see the lines on passing runs). Checks 1-4 run
 `odebc verify`'s own checks (`cli._check_*` and `cli._convergence_errors`),
-at larger sizes where a check takes a size. Checks 5-9 drive
-the installed CLI end to end on the default 8x8 world; those runs are
-shared through a module fixture and executed at two worker counts so the
-determinism check can byte-compare the outputs.
+at larger sizes where a check takes a size. Checks 5-9 drive the installed
+CLI end to end on the default 8x8 world; those runs are shared through a
+module fixture and executed at two worker counts so the determinism check
+can byte-compare the outputs.
 """
 
 import csv

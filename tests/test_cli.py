@@ -373,6 +373,21 @@ def test_verify_marginal_p_values_are_pinned():
     assert cli._check_marginals() == (True, "p 0.199/0.418 (both > 0.01)")
 
 
+@pytest.mark.parametrize("check,scale", [("_check_score_fd", 1 + 1e-4),
+                                         ("_check_marginals", 1.3)])
+def test_verify_checks_fail_on_a_wrong_denoiser(monkeypatch, check, scale):
+    # A check that passes a wrong denoiser shows nothing. eps off by ten
+    # times the score check's tolerance fails it; off by 30 % it fails the
+    # marginals on DDIM (p 0.005), though DDPM still passes (p 0.174).
+    class Scaled(cli.AnalyticDenoiser):
+        def eps(self, x_t, condition, t):
+            return scale * super().eps(x_t, condition, t)
+
+    monkeypatch.setattr(cli, "AnalyticDenoiser", Scaled)
+    ok, detail = getattr(cli, check)()
+    assert not ok, detail
+
+
 def test_truncated_tensor_is_validation_error(tmp_path, capsys):
     magic_only = tmp_path / "magic.t"
     magic_only.write_bytes(b"ODBC1")

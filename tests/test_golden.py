@@ -22,7 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "benchmarks"))
 sys.path.insert(0, GOLDEN)
 
 from checks import _compare_file, _split_text  # noqa: E402
-from regenerate import run_case  # noqa: E402
+from regenerate import main as regenerate, run_case  # noqa: E402
 
 CASES = sorted(name for name in os.listdir(GOLDEN)
                if os.path.exists(os.path.join(GOLDEN, name, "argv.json")))
@@ -101,3 +101,14 @@ def test_golden_outputs(case, tmp_path):
             if not name.endswith(".t"):
                 problems += _compare_zeros(name, got, want)
     assert problems == []
+
+
+def test_regenerate_needs_known_case_names(capsys):
+    # It writes only the cases it is given, so that adding one case does not
+    # re-baseline the others; no name, or an unknown one among them, is a
+    # usage error.
+    assert regenerate([]) == 2
+    assert regenerate(["ablate-k", "no-such-case"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: regenerate.py CASE [CASE ...]")
+    assert "unknown case: no-such-case" in err

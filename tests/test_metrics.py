@@ -164,6 +164,15 @@ def test_energy_test_detects_shift():
     assert res.statistic > 0.0
 
 
+def test_energy_test_counts_ties_as_extreme():
+    # Duplicated points give every partition the statistic 0, so every
+    # permutation ties the observed split and counts as at least as extreme.
+    a = np.full((6, 2), 0.7)
+    res = energy_distance_test(a, a.copy(), n_permutations=20, seed=0)
+    assert res.statistic == 0.0
+    assert res.p_value == 1.0
+
+
 def test_energy_test_subsamples_deterministically():
     rng = generator(5, 0)
     a = rng.standard_normal((3000, 2))

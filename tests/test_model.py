@@ -104,6 +104,18 @@ def _config_world(side):
     return build_world(cfg)
 
 
+def _near_parallel_world():
+    """A flat d=6 world whose means 0 and 1 differ by 1e-6 relative, in a
+    direction of their own: a span that Gram-Schmidt must orthogonalize
+    twice, and a remainder far above RANK_TOL that must stay."""
+    world = flat_world(dim=6)
+    means = world.means.copy()
+    step = generator(5, 0).standard_normal(6)
+    means[1] = means[0] + 1e-6 * np.linalg.norm(means[0]) * step
+    return GmmWorld(weights=world.weights, means=means, stds=world.stds,
+                    tau=world.tau, block=1)
+
+
 ORACLE_WORLDS = {
     "flat": flat_world,
     "8x8": lambda: _config_world(8),
@@ -116,7 +128,26 @@ ORACLE_WORLDS = {
     "flat-stds": lambda: flat_world(dim=4, tau=1.0, spread=0.5,
                                     std=(0.3, 0.6, 1.2)),
     "4x4-stds": lambda: image_world(tau=0.5, spread=0.3, std=(0.3, 0.5, 0.9)),
+    # 0.19-0.62 under the same observation.
+    "6x6x3-stds": lambda: image_world(6, 6, 3, block=3, tau=0.5, spread=0.3,
+                                      std=(0.3, 0.5, 0.9)),
+    "flat-near": _near_parallel_world,
 }
+
+
+def test_frame_is_orthonormal_for_nearly_parallel_means():
+    # One Gram-Schmidt pass leaves the direction between means 0 and 1
+    # orthogonal to the others only to about 1e-10 here.
+    world = _near_parallel_world()
+    ys = np.stack([y for _, y in sample_pairs(world, 2, seed=8)])
+    reduction = reduce_conditions(world, ys)
+    frame, w = reduction.frame, reduction.directions
+    assert frame.shape == (world.n_components, world.dim)
+    np.testing.assert_allclose(frame @ frame.T, np.eye(len(frame)), rtol=0,
+                               atol=1e-14)
+    np.testing.assert_allclose(frame @ w.T, 0.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.einsum("rd,rd->r", w, w), 1.0, rtol=0,
+                               atol=1e-14)
 
 
 def assert_rel(got, want, tol=1e-12):
