@@ -114,7 +114,7 @@ def get_metric(name: str, shape: tuple[int, int, int] | None = None) -> Metric:
 
 # The energy test scores tiles of BLOCK pooled rows by TILE pooled columns.
 BLOCK = 64
-TILE = 512
+TILE = 256
 
 
 def _distances(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:

@@ -517,23 +517,33 @@ def reduce_conditions(world: GmmWorld, ys: np.ndarray) -> Reduction:
 
 
 class _SolveTable:
-    """A condition prepared for the times of one solve.
-
-    Holds the condition's mixture (a `Mixture` or a `Reduction`) and
-    (alpha, sigma) and the mixture's `_coefficients` at every time, all
-    found in one vectorised pass; row i belongs to the i-th time.
+    """A condition prepared for the times of one solve: its mixture (a
+    `Mixture` or a `Reduction`), (alpha, sigma) at every time, and the
+    `_coefficients` of the block of ROWS times that holds the row eps last
+    asked for, block 0 from `prepare`. Row i is the i-th time's; computed
+    elementwise, it is a one-pass table's row to the bit.
     """
+
+    ROWS = 256
 
     def __init__(self, mix, alpha, sigma):
         self.mixture = mix
         self._alpha = alpha
         self._sigma = sigma
-        self._scales, self._half_logdet = mix._coefficients(alpha, sigma)
+        self._hold(0)
+
+    def _hold(self, block):
+        self._block, rows = block, slice(block * self.ROWS, (block + 1) * self.ROWS)
+        self._scales, self._half_logdet = self.mixture._coefficients(
+            self._alpha[rows], self._sigma[rows])
 
     def eps(self, x, i):
+        block, row = divmod(i, self.ROWS)
+        if block != self._block:
+            self._hold(block)
         xb, single = _as_batch(x, self.mixture.dim)
         out = self._sigma[i] * self.mixture._pull(
-            xb, self._alpha[i], self._scales[i], self._half_logdet[i])
+            xb, self._alpha[i], self._scales[row], self._half_logdet[row])
         return out[0] if single else out
 
 
@@ -562,11 +572,11 @@ class AnalyticDenoiser:
 
     def prepare(self, condition, times):
         """`condition` ready for eps at each of `times` in [0, 1], from one
-        array schedule lookup; eps then takes a time's row in `times`. The
-        solve keeps the result; the denoiser keeps no per-time state."""
+        array lookup each of alpha and sigma; eps then takes a time's row in
+        `times`. The solve keeps the result; the denoiser keeps no per-time state."""
         times = np.asarray(times, dtype=np.float64).reshape(-1)
-        alpha, sigma, _, _ = self.schedule.coeffs(times)
-        return _SolveTable(self._mixture(condition), alpha, sigma)
+        return _SolveTable(self._mixture(condition), self.schedule.alpha(times),
+                           self.schedule.sigma(times))
 
     def eps(self, x_t, condition, t):
         """eps at time t; for a condition from `prepare`, t is the row of

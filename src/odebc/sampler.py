@@ -5,8 +5,8 @@ batch of them), the timestep plan runs from the noise boundary down to
 zero, and the model provides two methods on normalized time. A solve first
 calls prepare(cond, times) once with every time it will visit, and then
 eps(x, prepared, i) at each step, where i is the step's row in those times
-(DPM-Solver-2's midpoints follow its step times); a model with nothing to
-look up per time returns cond from prepare unchanged. Called with a
+and only grows (each DPM-Solver-2 midpoint follows its step); a model with
+nothing to look up per time returns cond from prepare unchanged. Called with a
 condition that was not prepared, eps takes the time itself. The solvers
 see only rows, and their deterministic steps are linear in (x, eps).
 
@@ -137,13 +137,12 @@ def _dpm2(model, cfg: SolverConfig, x_t, cond):
     """Second-order exponential integrator with a log-SNR midpoint stage."""
     x = _check_state(x_t)
     h, mids, a_ends, a_mids, s_ends, s_mids = _dpm2_grid(cfg.schedule, cfg.plan)
-    n = cfg.plan.n_transitions
-    cond = model.prepare(cond, np.concatenate([cfg.plan.times[:-1], mids]))
-    for i in range(n):
-        eps_s = model.eps(x, cond, i)
+    cond = model.prepare(cond, np.stack([cfg.plan.times[:-1], mids], 1).ravel())
+    for i in range(cfg.plan.n_transitions):
+        eps_s = model.eps(x, cond, 2 * i)
         u = (a_mids[i] / a_ends[i]) * x \
             - s_mids[i] * math.expm1(0.5 * h[i]) * eps_s
-        eps_m = model.eps(u, cond, n + i)
+        eps_m = model.eps(u, cond, 2 * i + 1)
         x = (a_ends[i + 1] / a_ends[i]) * x \
             - s_ends[i + 1] * math.expm1(h[i]) * eps_m
     return x

@@ -49,9 +49,9 @@ class DiscreteSchedule:
         t = np.asarray(t, dtype=np.float64)
         if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
             raise ValidationError("t must lie in [0, 1]")
-        u = t * n
-        k = np.clip(np.floor(u).astype(np.int64), 0, n - 1)
-        frac = u - k
+        frac = t * n
+        k = np.clip(np.floor(frac).astype(np.int64), 0, n - 1)
+        frac -= k  # in place: one array fewer at a long grid's peak
         logab = self._log_alpha_bars
         seg = logab[k + 1] - logab[k]
         return logab[k] + frac * seg, seg * n

@@ -79,6 +79,31 @@ MUTANTS = [
     Mutant("src/odebc/cli.py", '{"kind": "euler", "steps": 10000}',
            '{"kind": "euler", "steps": 200}',
            "the convergence reference is a coarse euler solve"),
+    Mutant("src/odebc/model.py", "divmod(i, self.ROWS)",
+           "divmod(i, self.ROWS - 1)",
+           "eps splits rows into blocks one row shorter than the table's: "
+           "from row 255 on, a row reads a later time's coefficients"),
+    Mutant("src/odebc/model.py", "(block + 1) * self.ROWS)",
+           "(block + 1) * self.ROWS - 1)",
+           "each block of the solve table is one row short"),
+    Mutant("src/odebc/metrics.py", "width = min(TILE, n + m - j)",
+           "width = min(TILE, n + m - j) - 1",
+           "each column tile of the energy test drops its last column"),
+    Mutant("src/odebc/worldgen.py", "max(h + w - 2, 1) - 0.5",
+           "max(h + w - 2, 1) - 0.4", "the gradient texture is not centred"),
+    Mutant("src/odebc/worldgen.py", "field *= amp / max(field.std(), 1e-12)",
+           "field *= amp", "smooth noise is not rescaled to its amplitude"),
+    Mutant("src/odebc/worldgen.py", "world.tau * rng.standard_normal",
+           "world.tau ** 2 * rng.standard_normal",
+           "pairs draw their observation noise with tau^2 as its std"),
+    Mutant("src/odebc/config.py", "out[key] = deep_merge(out[key], value)",
+           "out[key] = copy.deepcopy(value)",
+           "a nested override replaces its whole section"),
+    Mutant("src/odebc/config.py", '"config" in data and "command" in data',
+           '"config" in data and "commands" in data',
+           "a run manifest is not read back as a config"),
+    Mutant("src/odebc/config.py", '"steps": (50, _STEPS)',
+           '"steps": (51, _STEPS)', "the default solver takes 51 steps"),
 ]
 
 

@@ -222,11 +222,12 @@ def test_energy_test_matches_per_permutation_oracle(dim):
 
 
 def test_energy_test_matches_oracle_across_tiles():
-    # 700 pooled points: two column tiles, the second partial, and a
-    # partial last row block.
-    a = generator(23, 0).standard_normal((400, 2))
-    b = generator(23, 1).standard_normal((300, 2)) + 0.1
-    assert (a.shape[0] + b.shape[0]) % BLOCK and TILE < 700 < 2 * TILE
+    # Half a row block short of two column tiles of pooled points: the
+    # second tile partial, and a partial last row block.
+    pooled = 2 * TILE - BLOCK // 2
+    a = generator(23, 0).standard_normal((pooled * 4 // 7, 2))
+    b = generator(23, 1).standard_normal((pooled - len(a), 2)) + 0.1
+    assert pooled % BLOCK and TILE < pooled < 2 * TILE
     got = energy_distance_test(a, b, 30, seed=4)
     want = energy_test_oracle(a, b, 30, seed=4)
     assert got.p_value == want.p_value
@@ -263,12 +264,14 @@ def test_energy_test_rejects_bad_inputs(shape_a, shape_b, kwargs):
 
 
 @pytest.mark.parametrize("n, dim, perms, limit_mib", [
-    # verify's marginal check: 1.8 MiB in tiles; 3.7 MiB with whole rows of
-    # D and float labels, 22 MiB with an N x N D.
-    (600, 2, 200, 2),
-    # the default max_points: 3.4 MiB in tiles; 15 MiB with whole rows of D
-    # and float labels, 244 MiB with an N x N D.
-    (2000, 8, 300, 5),
+    # verify's marginal check: 1.1 MiB in tiles of 64 x 256 (1.8 MiB in
+    # tiles of 64 x 512); 3.7 MiB with whole rows of D and float labels,
+    # 22 MiB with an N x N D.
+    (600, 2, 200, 1.5),
+    # the default max_points: 2.5 MiB in tiles of 64 x 256 (3.4 MiB in
+    # tiles of 64 x 512); 15 MiB with whole rows of D and float labels,
+    # 244 MiB with an N x N D.
+    (2000, 8, 300, 3),
 ])
 def test_energy_test_memory_is_blocked(n, dim, perms, limit_mib):
     a = generator(8, 0).standard_normal((n, dim))

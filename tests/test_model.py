@@ -33,6 +33,7 @@ from odebc.model import (
     AnalyticDenoiser,
     BlockPooling,
     GmmWorld,
+    Mixture,
     conditional_posterior,
     mixture_log_density,
     mixture_sample,
@@ -447,7 +448,7 @@ def test_stacked_posterior_equals_unstacked_loop(world_name):
 
 
 def test_euler_projection_leaves_no_per_time_state():
-    # The solve owns its time table (under 1 MiB for 10000 times) and the
+    # The solve owns its time table (0.17 MiB for 10000 times) and the
     # posterior it prepared: once it returns, the denoiser holds nothing
     # new. The euler-10000 oracle solves the raw observation in d.
     world = flat_world()
@@ -467,20 +468,70 @@ def test_euler_projection_leaves_no_per_time_state():
     assert held < 16384
     assert vars(den) == fields
     assert np.all(np.isfinite(out))
-    # The table itself: (alpha, sigma) and the coefficients per time, and
-    # no map from times to rows.
+    # The table itself: (alpha, sigma) per time and the coefficients of one
+    # block of rows, 0.17 MiB; found with a 0.54 MiB peak. A table of every
+    # row held 0.84 MiB and peaked at 1.84 MiB.
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         table = den.prepare(y, euler.plan.times[:-1])
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = np.subtract(tracemalloc.get_traced_memory(), before)
     finally:
         tracemalloc.stop()
-    assert held < 2**20
+    assert held < 0.25 * 2**20
+    assert peak < 0.6 * 2**20
     np.testing.assert_array_equal(den.eps(x_t, table, 5000),
                                   den.eps(x_t, y, euler.plan.times[5000]))
     with pytest.raises(ValidationError):
         den.prepare(y, [0.5, np.nan])
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["posterior", "reduction"])
+def test_blocked_table_matches_one_pass(reduced):
+    # The euler-10000 grid: the first and last rows of block 0, the first
+    # of block 1 and the last row, asked for out of order, hold the
+    # coefficients of one pass over every time, to the bit, and so does eps.
+    world = flat_world()
+    s = make_linear_vp_schedule(1000, 1e-4, 0.02)
+    ys = np.stack([y for _, y in sample_pairs(world, 2, seed=10)])
+    times = build_solver({"kind": "euler", "steps": 10000}, s).plan.times[:-1]
+    x = generator(7, 1).standard_normal((3, world.dim))
+    cond = ys[0]
+    if reduced:
+        cond = reduce_conditions(world, ys)
+        x = cond.reduce(x)[0]
+    den = AnalyticDenoiser(world, s)
+    table = den.prepare(cond, times)
+    mix, rows = table.mixture, table.ROWS
+    alpha, sigma = s.alpha(times), s.sigma(times)
+    scales, half_logdet = mix._coefficients(alpha, sigma)
+    for i in (rows, 0, rows - 1, len(times) - 1, rows):
+        got = den.eps(x, table, i)
+        np.testing.assert_array_equal(table._scales[i % rows], scales[i])
+        np.testing.assert_array_equal(table._half_logdet[i % rows],
+                                      half_logdet[i])
+        np.testing.assert_array_equal(
+            got, sigma[i] * mix._pull(x, alpha[i], scales[i], half_logdet[i]))
+
+
+@pytest.mark.parametrize("kind, steps", [
+    ("ddim", 600), ("dpm2", 300), ("euler", 1000)])
+def test_solves_find_each_block_once(monkeypatch, kind, steps):
+    # Rows only grow within a solve, dpm2's midpoints included, so a solve
+    # over several blocks of rows finds each block once, in order.
+    world = flat_world()
+    s = make_linear_vp_schedule(1000, 1e-4, 0.02)
+    _, y = sample_pairs(world, 1, seed=10)[0]
+    found = []
+    one_pass = Mixture._coefficients
+    monkeypatch.setattr(Mixture, "_coefficients",
+                        lambda mix, alpha, sigma: found.append(len(alpha))
+                        or one_pass(mix, alpha, sigma))
+    cfg = build_solver({"kind": kind, "steps": steps}, s)
+    run_solver(AnalyticDenoiser(world, s), cfg, np.zeros(world.dim), y)
+    rows = cfg.plan.n_transitions * (2 if kind == "dpm2" else 1)
+    assert rows > 2 * 256
+    assert found == [256] * (rows // 256) + [rows % 256]
 
 
 BLOCK1_WORLDS = {
