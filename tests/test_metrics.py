@@ -267,11 +267,11 @@ def test_energy_test_rejects_bad_inputs(shape_a, shape_b, kwargs):
     # verify's marginal check: 1.1 MiB in tiles of 64 x 256 (1.8 MiB in
     # tiles of 64 x 512); 3.7 MiB with whole rows of D and float labels,
     # 22 MiB with an N x N D.
-    (600, 2, 200, 1.5),
+    (600, 2, 200, 2),
     # the default max_points: 2.5 MiB in tiles of 64 x 256 (3.4 MiB in
     # tiles of 64 x 512); 15 MiB with whole rows of D and float labels,
     # 244 MiB with an N x N D.
-    (2000, 8, 300, 3),
+    (2000, 8, 300, 5),
 ])
 def test_energy_test_memory_is_blocked(n, dim, perms, limit_mib):
     a = generator(8, 0).standard_normal((n, dim))

@@ -524,9 +524,12 @@ def test_solves_find_each_block_once(monkeypatch, kind, steps):
     _, y = sample_pairs(world, 1, seed=10)[0]
     found = []
     one_pass = Mixture._coefficients
-    monkeypatch.setattr(Mixture, "_coefficients",
-                        lambda mix, alpha, sigma: found.append(len(alpha))
-                        or one_pass(mix, alpha, sigma))
+
+    def counted(mix, alpha, sigma):
+        found.append(len(alpha))
+        return one_pass(mix, alpha, sigma)
+
+    monkeypatch.setattr(Mixture, "_coefficients", counted)
     cfg = build_solver({"kind": kind, "steps": steps}, s)
     run_solver(AnalyticDenoiser(world, s), cfg, np.zeros(world.dim), y)
     rows = cfg.plan.n_transitions * (2 if kind == "dpm2" else 1)
