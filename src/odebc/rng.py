@@ -2,21 +2,15 @@
 
 Every stochastic quantity in the package is derived from a (seed, index)
 pair through a fresh Philox generator, so a draw is a pure function of its
-key and never depends on evaluation order or worker count.
+key and never depends on evaluation order or worker count. `gauss` looks up
+`generator` on every call, so a test can count draws by wrapping it.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-# Audit hook: number of Gaussian draw calls since the last reset. Tests use
-# this to prove deterministic code paths never touch the noise stream.
-_draw_count = 0
-_draw_lock = threading.Lock()
 
 
 def generator(seed: int, index: int) -> np.random.Generator:
@@ -27,17 +21,4 @@ def generator(seed: int, index: int) -> np.random.Generator:
 
 def gauss(seed: int, index: int, shape) -> np.ndarray:
     """Standard-normal array, a pure function of (seed, index, shape)."""
-    global _draw_count
-    with _draw_lock:
-        _draw_count += 1
     return generator(seed, index).standard_normal(size=shape, dtype=np.float64)
-
-
-def reset_draw_count() -> None:
-    global _draw_count
-    with _draw_lock:
-        _draw_count = 0
-
-
-def draw_count() -> int:
-    return _draw_count

@@ -3,8 +3,9 @@
 The discrete grid stores per-step betas and their cumulative products. The
 continuous view interpolates log(alpha_bar) piecewise-linearly over the step
 index rescaled to t in [0, 1], so grid points reproduce the discrete values
-exactly and the drift/diffusion coefficients come from differentiating the
-interpolant. t=1 is the noise boundary (step T-1), t=0 is step 0.
+exactly; the drift f comes from differentiating the interpolant and, by the
+VP identity, g^2 = -2f. lam inverts in closed form, through log(alpha_bar) =
+-log(1 + e^(-2 lam)). t=1 is the noise boundary (step T-1), t=0 is step 0.
 """
 
 from __future__ import annotations
@@ -72,32 +73,25 @@ class DiscreteSchedule:
     def coeffs(self, t):
         """Return (alpha, sigma, f, g2) at continuous time t."""
         val, dval = self._interp_log_alpha_bar(t)
-        alpha = np.exp(0.5 * val)
-        sigma2 = -np.expm1(val)
         f = 0.5 * dval
-        dsigma2 = -2.0 * f * alpha * alpha
-        g2 = dsigma2 - 2.0 * f * sigma2
-        return alpha, np.sqrt(sigma2), f, g2
+        return np.exp(0.5 * val), np.sqrt(-np.expm1(val)), f, -2.0 * f
 
     def time_of_lambda(self, target):
         """The times where lam equals `target`, a scalar or an array of any
-        shape, by one bisection for all of them; lam is strictly
-        decreasing. Each interval halves until its midpoint equals an end
-        (or 200 times), and then stays as it is."""
+        shape: the log(alpha_bar) that each target implies, located on its
+        segment of the interpolant. Where lam is flat, on a segment of zero
+        length, the segment's start is returned."""
         target = np.asarray(target, dtype=np.float64)
         if not np.all((self.lam(1.0) <= target) & (target <= self.lam(0.0))):
             raise ValidationError("lambda target outside schedule range")
-        lo = np.zeros_like(target)  # lam(lo) > target > lam(hi)
-        hi = np.ones_like(target)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            moving = (mid != lo) & (mid != hi)  # a stopped interval stays put
-            if not moving.any():
-                break
-            above = self.lam(mid) > target
-            lo = np.where(moving & above, mid, lo)
-            hi = np.where(moving & ~above, mid, hi)
-        return 0.5 * (lo + hi)
+        n = self.total_steps - 1
+        logab = self._log_alpha_bars
+        v = -np.logaddexp(0.0, -2.0 * target)
+        # logab[k] > v >= logab[k + 1], except where k is clipped at an end
+        k = np.clip(np.searchsorted(-logab, -v) - 1, 0, n - 1)
+        seg = logab[k + 1] - logab[k]
+        seg = np.where(seg < 0.0, seg, -np.inf)  # a flat end segment: frac 0
+        return np.clip((k + (v - logab[k]) / seg) / n, 0.0, 1.0)
 
 
 def make_linear_vp_schedule(

@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
+import odebc.rng
 from odebc import sampler
 from odebc.errors import ValidationError
 from odebc.metrics import EnergyTestResult
@@ -312,9 +313,24 @@ def trace_solves(monkeypatch) -> list:
     return solves
 
 
+def count_draws(monkeypatch) -> list:
+    """Wrap `odebc.rng.generator`, which `gauss` looks up on every call, so
+    draws through every module's import of `gauss` are seen. The returned
+    list collects the (seed, index) key of every draw from then on."""
+    draws = []
+    generator = odebc.rng.generator
+
+    def counted(seed, index):
+        draws.append((seed, index))
+        return generator(seed, index)
+
+    monkeypatch.setattr(odebc.rng, "generator", counted)
+    return draws
+
+
 def time_of_lambda_oracle(s: DiscreteSchedule, targets) -> np.ndarray:
-    """`DiscreteSchedule.time_of_lambda` one target at a time: bisect [0, 1]
-    until the midpoint equals an end, or for 200 halvings."""
+    """The inverse of `DiscreteSchedule.lam`, one target at a time: bisect
+    [0, 1] until the midpoint equals an end, or for 200 halvings."""
     out = []
     for target in np.asarray(targets, dtype=np.float64).ravel().tolist():
         if not s.lam(1.0) <= target <= s.lam(0.0):

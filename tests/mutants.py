@@ -9,7 +9,8 @@ file, it copies the repository to a temporary directory, applies the mutant
 there and runs tier-1 with `-x`. It prints `killed` with the first failing
 test when the suite fails, `survived` when it passes, and `stale` when the
 old text is not in the file exactly once. A survivor needs a test, or a
-reason that says why it is equivalent. Each run takes up to a full tier-1,
+reason that says why it is equivalent; a survivor with that reason is
+printed as `equivalent`, followed by the reason. Each run takes up to a full tier-1,
 so this is a tool to run by hand; pytest does not collect it.
 """
 
@@ -32,6 +33,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     reason: str
+    equivalent: str = ""  # why no test can kill it, for a known survivor
 
 
 MUTANTS = [
@@ -44,9 +46,36 @@ MUTANTS = [
     Mutant("src/odebc/analysis.py",
            "        stds[np.ptp(per_repeat, axis=1) == 0.0] = 0.0\n", "",
            "identical ablation repeats keep np.std's rounding dust"),
-    Mutant("src/odebc/schedule.py", "above = self.lam(mid) > target",
-           "above = self.lam(mid) < target",
-           "the batched lambda bisection keeps the wrong half"),
+    Mutant("src/odebc/schedule.py", "np.searchsorted(-logab, -v) - 1",
+           "np.searchsorted(-logab, -v)",
+           "the lambda inverse interpolates on the segment after its own"),
+    Mutant("src/odebc/schedule.py", "np.logaddexp(0.0, -2.0 * target)",
+           "np.logaddexp(0.0, 2.0 * target)",
+           "the lambda inverse maps lambda to log(1 - alpha_bar)"),
+    Mutant("src/odebc/schedule.py",
+           "        seg = np.where(seg < 0.0, seg, -np.inf)", "        pass",
+           "the lambda inverse divides by a flat end segment's zero length"),
+    Mutant("src/odebc/schedule.py", "f, -2.0 * f", "f, 2.0 * f",
+           "the squared diffusion g2 has the wrong sign"),
+    Mutant("src/odebc/schedule.py", "if n_steps < 1:", "if n_steps < 2:",
+           "a one-step continuous plan is rejected"),
+    Mutant("src/odebc/model.py", "pool.sums(gauss) / pool.size",
+           "pool.sums(gauss) * pool.size",
+           "posterior samples scale their block-mean part by b^2, not 1/b^2"),
+    Mutant("src/odebc/model.py", "w.shape != (mu.shape[0],) or s.shape",
+           "w.shape != (mu.shape[0],) and s.shape",
+           "a world whose stds alone disagree on J is accepted"),
+    Mutant("src/odebc/sampler.py", "np.allclose(gaps, gaps[0],",
+           "np.allclose(gaps, gaps[1],",
+           "Euler's uniform-plan check compares with the second gap",
+           "the two checks differ only for gaps within 1e-9 relative of "
+           "the tolerance's edge, and a plan whose first gap alone differs "
+           "fails both"),
+    Mutant("src/odebc/sampler.py", "gaps = np.diff(self.plan.times)",
+           "gaps = np.diff(self.plan.times)[1:]",
+           "Euler's uniform-plan check skips the first gap"),
+    Mutant("src/odebc/analysis.py", "stds = np.zeros(len(sizes))",
+           "stds = np.ones(len(sizes))", "a single repeat reports a std of 1"),
     Mutant("src/odebc/model.py",
            "    for _ in range(2):\n        v = v - np.einsum",
            "    for _ in range(1):\n        v = v - np.einsum",
@@ -142,6 +171,8 @@ def main() -> int:
         return 1
     for i, mutant in enumerate(MUTANTS):
         outcome, detail = run_tier1(mutant)
+        if outcome == "survived" and mutant.equivalent:
+            outcome, detail = "equivalent", mutant.equivalent
         print(f"{i} {outcome}: {mutant.file}: {mutant.reason}"
               + (f"\n    {detail}" if detail else ""), flush=True)
     return 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import flat_world
+from helpers import count_draws, flat_world
 
 from odebc.analysis import (
     ablate_candidate_size,
@@ -14,7 +14,6 @@ from odebc.bcsearch import CandidateSet, ReferenceSet, search_optimal_bc
 from odebc.errors import ValidationError
 from odebc.metrics import get_metric
 from odebc.model import AnalyticDenoiser, GmmWorld
-from odebc.rng import draw_count, reset_draw_count
 from odebc.sampler import SolverConfig, SolverKind
 from odebc.schedule import (
     make_linear_vp_schedule,
@@ -78,17 +77,17 @@ def test_benchmark_needs_pairs():
         benchmark_samplers(flat_world(), [], [ddim(10)], None, L2, 0)
 
 
-def test_benchmark_fixed_bc_draws_nothing():
+def test_benchmark_fixed_bc_draws_nothing(monkeypatch):
     # Deterministic solvers started from a shared BC must never touch the
     # noise stream; per-pair random starts draw exactly once per pair.
     world = flat_world()
     pairs = [sample_pair(world, 11, i) for i in range(3)]
     bc = np.zeros(8)
-    reset_draw_count()
+    draws = count_draws(monkeypatch)
     benchmark_samplers(world, pairs, [ddim(10), ddim(20)], bc, L2, seed=5)
-    assert draw_count() == 0
+    assert len(draws) == 0
     benchmark_samplers(world, pairs, [ddim(10), ddim(20)], None, L2, seed=5)
-    assert draw_count() == 6
+    assert len(draws) == 6
 
 
 def test_benchmark_searched_bc_beats_per_pair_noise():

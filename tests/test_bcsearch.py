@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from helpers import flat_world, image_world, trace_solves
+from helpers import count_draws, flat_world, image_world, trace_solves
 from odebc.bcsearch import (
     CHUNK,
     CandidateSet,
@@ -211,13 +211,16 @@ def test_batched_table_matches_per_row_oracle(world_kind, solver, name):
 def test_table_makes_one_solve_per_chunk(monkeypatch):
     # Every reference of a chunk shares its solve, on reduced states of at
     # most 2J + 3 numbers per row: 2 chunks of CHUNK and 3 rows, 5
-    # references, J = 3.
+    # references, J = 3. Each candidate is drawn once, through bcsearch's
+    # own import of gauss.
     traced = trace_solves(monkeypatch)
+    draws = count_draws(monkeypatch)
     world, den, refs = small_setup(n_pairs=5)
     cands = CandidateSet(seed=13, size=CHUNK + 3, dim=world.dim)
     objective_table(cands, refs, ddim_cfg(10), den, L2)
     assert [rows for _, (rows, _) in traced] == [CHUNK * 5, 3 * 5]
     assert all(width <= 2 * world.n_components + 3 for _, (_, width) in traced)
+    assert draws == [(13, k) for k in range(CHUNK + 3)]
 
 
 def test_shared_denoiser_under_thread_stress():

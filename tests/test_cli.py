@@ -234,6 +234,17 @@ def test_ablate_and_independence_csvs(tmp_path):
     assert os.path.exists(os.path.join(ind, "render_k00_c02.pgm"))
 
 
+def test_ablate_r_with_one_repeat_has_zero_stds(tmp_path):
+    out = str(tmp_path / "ar")
+    assert cli.run(["ablate-r", "--out", out, *SMALL_WORLD,
+                    "--set", "run.sizes=[1,2]", "--set", "run.repeats=1",
+                    "--set", "run.k_fixed=4", "--set", "run.pairs=4",
+                    "--set", "run.holdout=3"]) == 0
+    lines = open(os.path.join(out, "ablate_r.csv")).read().splitlines()
+    assert lines[0] == "size,mean,std,rep_000"
+    assert [float(line.split(",")[2]) for line in lines[1:]] == [0.0, 0.0]
+
+
 def test_render_requires_image_world(tmp_path):
     out = str(tmp_path / "flat")
     code = cli.run(["independence", "--out", out,

@@ -12,6 +12,7 @@ from scipy.stats import multivariate_normal
 from helpers import (
     block_pool_matrix,
     dense_covariance,
+    dense_degradation,
     dense_log_density,
     dense_posterior,
     dense_prior,
@@ -97,6 +98,11 @@ def test_world_validation():
     with pytest.raises(ShapeMismatchError):
         GmmWorld(np.array([1.0]), np.zeros((1, 4)), np.ones(1), tau=0.1,
                  block=2, shape=(2, 4, 1))
+    # weights, means and stds that disagree on the component count J
+    for weights, stds in ((np.full(3, 1 / 3), np.ones(2)),
+                          (np.full(2, 0.5), np.ones(3))):
+        with pytest.raises(ShapeMismatchError):
+            GmmWorld(weights, np.zeros((3, 4)), stds, tau=0.1)
 
 
 def _config_world(side):
@@ -363,6 +369,22 @@ def test_posterior_samples_match_rejection_sampling():
                            generator(22, 0))
     result = energy_distance_test(exact, reject, n_permutations=200, seed=0)
     assert result.p_value > 0.01
+
+
+def test_block_posterior_samples_have_its_covariance():
+    # One component, so the posterior is one Gaussian: lam_par along the
+    # block means P and lam_perp along I - P, about 6e-4 and 0.25 here.
+    # 40000 draws estimate each variance to about 1 %.
+    world = image_world(n_comp=1)
+    post = conditional_posterior(world, world.degrade(world.means[0]))
+    op = dense_degradation(world.pooling)
+    along = world.pooling.size * op.T @ op
+    x = mixture_sample(post, 40_000, generator(23, 0))
+    got, want = np.cov(x, rowvar=False), dense_covariance(post, 0)
+    for part in (along, np.eye(world.dim) - along):
+        expect = part @ want @ part
+        np.testing.assert_allclose(part @ got @ part, expect, rtol=0.0,
+                                   atol=0.05 * np.max(np.abs(expect)))
 
 
 def test_analytic_denoiser_one_time_matches_prepared():

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import dense_covariance, flat_world, linear_denoiser
+from helpers import count_draws, dense_covariance, flat_world, linear_denoiser
 from odebc import rng
 from odebc.errors import PlanMismatchError, ShapeMismatchError, ValidationError
 from odebc.metrics import energy_distance_test
@@ -25,6 +25,7 @@ from odebc.sampler import (
     run_solver,
 )
 from odebc.schedule import (
+    TimestepPlan,
     make_linear_vp_schedule,
     resample_timesteps,
     uniform_continuous_plan,
@@ -48,6 +49,12 @@ def test_config_validation():
         cfg_for(SolverKind.EULER_REF, uniform_continuous_plan(999))
     with pytest.raises(PlanMismatchError):
         cfg_for(SolverKind.DDIM, uniform_continuous_plan(1000))
+    # Euler needs one gap throughout: not a squared grid, and not a grid
+    # whose first gap alone is twice the others
+    for times in (np.linspace(1.0, 0.0, 1001) ** 2,
+                  np.append(1.0, np.linspace(0.998, 0.0, 1000))):
+        with pytest.raises(PlanMismatchError, match="uniform"):
+            cfg_for(SolverKind.EULER_REF, TimestepPlan(times=times))
 
 
 def test_ddim_telescoping_zero_model():
@@ -261,16 +268,16 @@ def test_projection_parallel_bit_identical():
         np.testing.assert_array_equal(a, b)
 
 
-def test_deterministic_solvers_never_draw():
+def test_deterministic_solvers_never_draw(monkeypatch):
     world = flat_world(dim=4, n_comp=2, tau=0.3, seed=3)
     den = AnalyticDenoiser(world, SCHED)
     x = generator(16, 0).standard_normal(4)
     y = world.degrade(world.means[0])
-    rng.reset_draw_count()
+    draws = count_draws(monkeypatch)
     for kind in [SolverKind.DDIM, SolverKind.DPM_SOLVER_2]:
         project(den, cfg_for(kind, resample_timesteps(SCHED, 15)), x, y)
     project(den, euler_cfg(1000), x, y)
-    assert rng.draw_count() == 0
+    assert len(draws) == 0
     run_solver(den, cfg_for(SolverKind.DDPM_ANCESTRAL, resample_timesteps(SCHED, 5)),
                x, BLANK)
-    assert rng.draw_count() > 0
+    assert len(draws) > 0

@@ -91,8 +91,8 @@ def test_drift_matches_finite_difference():
         assert f == pytest.approx(fd, rel=1e-6)
         fd2 = (s.sigma(t + h) ** 2 - s.sigma(t - h) ** 2) / (2 * h)
         assert g2 == pytest.approx(fd2 - 2 * f * s.sigma(t) ** 2, rel=1e-6)
-        # VP cancellation: g2 collapses to -2f.
-        assert g2 == pytest.approx(-2.0 * f, rel=1e-12)
+        # VP cancellation: g2 is -2f exactly.
+        assert g2 == -2.0 * f
 
 
 def test_lambda_monotone_and_invertible():
@@ -105,24 +105,45 @@ def test_lambda_monotone_and_invertible():
         s.time_of_lambda(float(s.lam(0.0)) + 1.0)
 
 
-def test_batched_time_of_lambda_matches_oracle_bit_for_bit():
+def test_time_of_lambda_within_16_ulp_of_bisection_oracle():
     # The targets DPM-Solver-2 inverts: the log-SNR midpoints of its plans.
+    # The closed form and the bisection round differently, so they agree to
+    # a few ulp (13 at most here), and the closed form's lam(t) lands no
+    # further from the target than the bisection's.
     s = default_schedule()
-    for n in (2, 5, 20, 50, 1000):
+    for n in (2, 5, 20, 50, 300, 1000):
         lam = s.lam(resample_timesteps(s, n).times)
         targets = lam[:-1] + 0.5 * np.diff(lam)
         got = s.time_of_lambda(targets)
+        want = time_of_lambda_oracle(s, targets)
         assert got.shape == targets.shape
-        assert got.tobytes() == time_of_lambda_oracle(s, targets).tobytes(), n
+        assert np.all(np.abs(got - want) <= 16 * np.spacing(want)), n
+        assert np.max(np.abs(s.lam(got) - targets)) <= \
+            np.max(np.abs(s.lam(want) - targets)), n
     ends = np.array([s.lam(1.0), s.lam(0.0)])
-    assert s.time_of_lambda(ends).tobytes() == \
-        time_of_lambda_oracle(s, ends).tobytes()
+    assert s.time_of_lambda(ends).tolist() == [1.0, 0.0]
     for bad in (ends[1] + 1e-9, ends[0] - 1e-9, np.nan,
                 np.append(targets[:3], ends[1] + 1.0)):
         with pytest.raises(ValidationError):
             s.time_of_lambda(bad)
         with pytest.raises(ValidationError):
             time_of_lambda_oracle(s, bad)
+
+
+def test_time_of_lambda_on_flat_segments_raises_nothing():
+    # betas of 1e-20 leave alpha_bar unchanged, so lam is flat on the first
+    # and the last segment. With beta 0.01, lam(0) maps back to a
+    # log(alpha_bar) at or above the first grid value; with 0.04, lam(1)
+    # maps below the last. Either end then lands on its flat segment, and
+    # every target must still map to a time with its lam.
+    for beta in (0.01, 0.04):
+        s = DiscreteSchedule(np.array([beta, 1e-20, beta, beta, 1e-20]))
+        assert s.alpha_bars[0] == s.alpha_bars[1]
+        assert s.alpha_bars[3] == s.alpha_bars[4]
+        targets = s.lam(np.linspace(0.0, 1.0, 9))
+        with np.errstate(all="raise"):
+            got = s.time_of_lambda(targets)
+        np.testing.assert_allclose(s.lam(got), targets, rtol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -173,3 +194,6 @@ def test_continuous_plan_shape():
     assert plan.steps is None
     with pytest.raises(PlanMismatchError):
         plan.require_steps()
+    assert uniform_continuous_plan(1).times.tolist() == [1.0, 0.0]
+    with pytest.raises(ValidationError):
+        uniform_continuous_plan(0)
