@@ -8,7 +8,10 @@ eps(x, prepared, i) at each step, where i is the step's row in those times
 and only grows (each DPM-Solver-2 midpoint follows its step); a model with
 nothing to look up per time returns cond from prepare unchanged. Called with a
 condition that was not prepared, eps takes the time itself. The solvers
-see only rows, and their deterministic steps are linear in (x, eps).
+see only rows and plan times, and their deterministic steps are linear in
+(x, eps). DDIM (first-order DPM-Solver), DDPM (DDIM's step plus the
+posterior variance, eta = 1) and both stages of DPM-Solver-2 take the one
+step x' = ratio x - gain eps of `_first_order`.
 
 `run_solver` integrates whatever state and condition it is given. The
 projection h(x_T, y) has one path: `project_reduced` maps rows to the
@@ -25,7 +28,6 @@ depends on evaluation order either.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,24 +54,22 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.kind is SolverKind.EULER_REF:
-            if self.plan.steps is not None or self.plan.n_transitions < 1000:
+            if self.plan.n_transitions < 1000:
                 raise PlanMismatchError(
                     "Euler reference needs a continuous uniform plan, >= 1000 steps"
                 )
             gaps = np.diff(self.plan.times)
             if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12):
                 raise PlanMismatchError("Euler reference plan must be uniform")
-        elif self.kind in (SolverKind.DDPM_ANCESTRAL, SolverKind.DDIM):
-            self.plan.require_steps()
         if self.plan.n_points < 2:
             raise PlanMismatchError("plan needs at least 2 points")
 
     def label(self) -> str:
-        # Discrete plans are named by grid size (ddpm-1000 is the full
-        # chain); the continuous reference is named by its step count.
-        if self.plan.steps is not None:
-            return f"{self.kind.value}-{self.plan.n_points}"
-        return f"{self.kind.value}-{self.plan.n_transitions}"
+        # The Euler reference is named by its step count, every other
+        # solver by its grid size (ddpm-1000 is the full chain).
+        if self.kind is SolverKind.EULER_REF:
+            return f"{self.kind.value}-{self.plan.n_transitions}"
+        return f"{self.kind.value}-{self.plan.n_points}"
 
 
 def _check_state(x) -> np.ndarray:
@@ -79,72 +79,53 @@ def _check_state(x) -> np.ndarray:
     return x
 
 
-def _ddpm(model, cfg: SolverConfig, x_t, cond):
-    """Ancestral sampling with the lower-bound variance, skipped-step form.
+def _first_order(schedule, times, ends):
+    """Per-transition (ratio, gain), from one schedule lookup, of the step
+    x' = ratio x - gain eps from each of `times` to its match in `ends`:
+    ratio = alpha'/alpha, gain = ratio sigma - sigma'. That is sigma'
+    expm1(lam' - lam) without lam, which is log 0 where alpha_bar(0) is 1."""
+    (a, a_end), (s, s_end), _, _ = schedule.coeffs(np.stack([times, ends]))
+    ratio = a_end / a
+    return ratio, ratio * s - s_end
 
-    For a transition from step k to k' < k the effective step has
-    beta = 1 - abar_k / abar_k' and variance (1 - abar_k')/(1 - abar_k) * beta;
-    the final step to k'=0 adds no noise.
-    """
-    steps = cfg.plan.require_steps()
-    abar = cfg.schedule.alpha_bars
+
+def _first_order_solve(model, cfg: SolverConfig, x_t, cond):
+    """DDIM, or DDPM: with beta = 1 - 1/ratio^2, gain ratio beta / sigma and
+    noise of scale sigma' sqrt(beta) / sigma, drawn with the key (noise
+    seed, transition), on every transition but the last, to t = 0."""
+    times = cfg.plan.times
+    ratio, gain = _first_order(cfg.schedule, times[:-1], times[1:])
+    noise = np.zeros_like(ratio)
+    if cfg.kind is SolverKind.DDPM_ANCESTRAL:
+        sigma = cfg.schedule.sigma(times)
+        beta = 1.0 - 1.0 / (ratio * ratio)
+        gain = ratio * beta / sigma[:-1]
+        noise = sigma[1:] * np.sqrt(beta) / sigma[:-1]
+        noise[-1] = 0.0
     x = _check_state(x_t)
-    cond = model.prepare(cond, cfg.plan.times[:-1])
+    cond = model.prepare(cond, times[:-1])
     for i in range(cfg.plan.n_transitions):
-        k, kp = int(steps[i]), int(steps[i + 1])
-        a_k, a_p = abar[k], abar[kp]
-        eps = model.eps(x, cond, i)
-        x0_hat = (x - math.sqrt(1.0 - a_k) * eps) / math.sqrt(a_k)
-        beta = 1.0 - a_k / a_p
-        mean = (
-            math.sqrt(a_p) * beta / (1.0 - a_k) * x0_hat
-            + math.sqrt(a_k / a_p) * (1.0 - a_p) / (1.0 - a_k) * x
-        )
-        if kp == 0:
-            x = mean
-        else:
-            var = (1.0 - a_p) / (1.0 - a_k) * beta
-            x = mean + math.sqrt(var) * rng.gauss(cfg.noise_seed, i, x.shape)
+        x = ratio[i] * x - gain[i] * model.eps(x, cond, i)
+        if noise[i]:
+            x = x + noise[i] * rng.gauss(cfg.noise_seed, i, x.shape)
     return x
-
-
-def _ddim(model, cfg: SolverConfig, x_t, cond):
-    """Deterministic update x' = a'(x - s_k eps)/a_k + s' eps on sqrt(abar)."""
-    steps = cfg.plan.require_steps()
-    abar = cfg.schedule.alpha_bars
-    x = _check_state(x_t)
-    cond = model.prepare(cond, cfg.plan.times[:-1])
-    for i in range(cfg.plan.n_transitions):
-        k, kp = int(steps[i]), int(steps[i + 1])
-        eps = model.eps(x, cond, i)
-        ratio = math.sqrt(abar[kp] / abar[k])
-        x = ratio * (x - math.sqrt(1.0 - abar[k]) * eps) \
-            + math.sqrt(1.0 - abar[kp]) * eps
-    return x
-
-
-def _dpm2_grid(s: DiscreteSchedule, plan: TimestepPlan):
-    """Midpoint times and (alpha, sigma, h) tables for one plan; the
-    midpoints come from one batched inversion of lam."""
-    times = plan.times
-    lam = s.lam(times)
-    h = np.diff(lam)
-    mids = s.time_of_lambda(lam[:-1] + 0.5 * h)
-    return h, mids, s.alpha(times), s.alpha(mids), s.sigma(times), s.sigma(mids)
 
 
 def _dpm2(model, cfg: SolverConfig, x_t, cond):
-    """Second-order exponential integrator with a log-SNR midpoint stage."""
+    """Second-order exponential integrator: a first-order step to the log-SNR
+    midpoint, then one over the whole transition with the midpoint's eps."""
+    s = cfg.schedule
+    starts, ends = cfg.plan.times[:-1], cfg.plan.times[1:]
+    lam = s.lam(cfg.plan.times)
+    h = np.diff(lam)
+    mids = s.time_of_lambda(lam[:-1] + 0.5 * h)
+    half_ratio, half_gain = _first_order(s, starts, mids)
+    ratio, gain = _first_order(s, starts, ends)
     x = _check_state(x_t)
-    h, mids, a_ends, a_mids, s_ends, s_mids = _dpm2_grid(cfg.schedule, cfg.plan)
-    cond = model.prepare(cond, np.stack([cfg.plan.times[:-1], mids], 1).ravel())
+    cond = model.prepare(cond, np.stack([starts, mids], 1).ravel())
     for i in range(cfg.plan.n_transitions):
-        eps_s = model.eps(x, cond, 2 * i)
-        u = (a_mids[i] / a_ends[i]) * x \
-            - s_mids[i] * math.expm1(0.5 * h[i]) * eps_s
-        eps_m = model.eps(u, cond, 2 * i + 1)
-        x = (a_ends[i + 1] / a_ends[i]) * x \
-            - s_ends[i + 1] * math.expm1(h[i]) * eps_m
+        u = half_ratio[i] * x - half_gain[i] * model.eps(x, cond, 2 * i)
+        x = ratio[i] * x - gain[i] * model.eps(u, cond, 2 * i + 1)
     return x
 
 
@@ -163,8 +144,8 @@ def _euler(model, cfg: SolverConfig, x_t, cond):
 
 
 _DISPATCH = {
-    SolverKind.DDPM_ANCESTRAL: _ddpm,
-    SolverKind.DDIM: _ddim,
+    SolverKind.DDPM_ANCESTRAL: _first_order_solve,
+    SolverKind.DDIM: _first_order_solve,
     SolverKind.DPM_SOLVER_2: _dpm2,
     SolverKind.EULER_REF: _euler,
 }

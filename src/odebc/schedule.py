@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlanMismatchError, ValidationError, require_integer
+from .errors import ValidationError, require_integer
 
 
 class DiscreteSchedule:
@@ -109,15 +109,11 @@ def make_linear_vp_schedule(
 
 @dataclass(frozen=True, eq=False)
 class TimestepPlan:
-    """Strictly decreasing sampling grid from the t=1 boundary down to t=0.
-
-    steps holds discrete indices (T-1 ... 0) for grid-aligned plans and is
-    None for purely continuous plans; times always holds the normalized
-    [0, 1] instants, descending.
-    """
+    """Strictly decreasing sampling grid of normalized times in [0, 1],
+    from the t=1 boundary down to t=0. A resampled grid's times sit on
+    step indices, k / (T-1); the solvers read only the times."""
 
     times: np.ndarray
-    steps: np.ndarray | None = None
 
     @property
     def n_points(self) -> int:
@@ -126,11 +122,6 @@ class TimestepPlan:
     @property
     def n_transitions(self) -> int:
         return self.times.size - 1
-
-    def require_steps(self) -> np.ndarray:
-        if self.steps is None:
-            raise PlanMismatchError("this solver needs a discrete-index plan")
-        return self.steps
 
 
 def resample_timesteps(s: DiscreteSchedule, n: int) -> TimestepPlan:
@@ -141,9 +132,7 @@ def resample_timesteps(s: DiscreteSchedule, n: int) -> TimestepPlan:
     total = s.total_steps
     require_integer(n, "plan size", minimum=2, maximum=total)
     ascending = np.floor(np.linspace(0.0, total - 1, n) + 0.5).astype(np.int64)
-    steps = ascending[::-1].copy()
-    return TimestepPlan(times=steps.astype(np.float64) / (total - 1),
-                        steps=steps)
+    return TimestepPlan(times=ascending[::-1].astype(np.float64) / (total - 1))
 
 
 def uniform_continuous_plan(n_steps: int) -> TimestepPlan:
@@ -151,5 +140,5 @@ def uniform_continuous_plan(n_steps: int) -> TimestepPlan:
     if n_steps < 1:
         raise ValidationError("need at least one step")
     times = np.linspace(1.0, 0.0, n_steps + 1)
-    return TimestepPlan(times=times, steps=None)
+    return TimestepPlan(times=times)
 

@@ -5,9 +5,13 @@ Cholesky solves for the evidence, an eigendecomposition per component and
 scores through the eigenbasis. The package's closed-form two-eigenvalue
 path is checked against it. The two-part oracle is the closed form's eps
 with both parts of the quadratic form kept for every pooling, P = I
-included, and the coefficients looked up one time at a time.
+included, and the coefficients looked up one time at a time. The
+alpha_bar oracles are DDIM and ancestral DDPM on step indices, in the
+alpha_bar form of their papers; the package takes both as one alpha/sigma
+step.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -346,6 +350,46 @@ def time_of_lambda_oracle(s: DiscreteSchedule, targets) -> np.ndarray:
                 hi = mid
         out.append(0.5 * (lo + hi))
     return np.reshape(out, np.shape(targets))
+
+
+def _plan_steps(s: DiscreteSchedule, plan: TimestepPlan) -> list:
+    """The step index k of each time k / (T-1) of a resampled plan."""
+    return np.rint(plan.times * (s.total_steps - 1)).astype(int).tolist()
+
+
+def ddim_alpha_bar_oracle(model, s: DiscreteSchedule, plan: TimestepPlan,
+                          x, cond):
+    """DDIM on step indices, x' = sqrt(abar'/abar) (x - sqrt(1 - abar) eps)
+    + sqrt(1 - abar') eps, with eps at each raw time."""
+    abar = s.alpha_bars
+    steps = _plan_steps(s, plan)
+    for i, (k, kp) in enumerate(zip(steps, steps[1:])):
+        eps = model.eps(x, cond, plan.times[i])
+        ratio = math.sqrt(abar[kp] / abar[k])
+        x = ratio * (x - math.sqrt(1.0 - abar[k]) * eps) \
+            + math.sqrt(1.0 - abar[kp]) * eps
+    return x
+
+
+def ddpm_alpha_bar_oracle(model, s: DiscreteSchedule, plan: TimestepPlan,
+                          x, cond, seed: int):
+    """Ancestral DDPM in posterior-mean form on step indices: from step k
+    to k', beta = 1 - abar/abar', the mean of x_0's estimate and x, and
+    variance (1 - abar')/(1 - abar) beta, drawn as gauss(seed, i) on every
+    transition but the last, to step 0."""
+    abar = s.alpha_bars
+    steps = _plan_steps(s, plan)
+    for i, (k, kp) in enumerate(zip(steps, steps[1:])):
+        eps = model.eps(x, cond, plan.times[i])
+        x0_hat = (x - math.sqrt(1.0 - abar[k]) * eps) / math.sqrt(abar[k])
+        beta = 1.0 - abar[k] / abar[kp]
+        x = (math.sqrt(abar[kp]) * beta / (1.0 - abar[k]) * x0_hat
+             + math.sqrt(abar[k] / abar[kp]) * (1.0 - abar[kp])
+             / (1.0 - abar[k]) * x)
+        if kp != 0:
+            var = (1.0 - abar[kp]) / (1.0 - abar[k]) * beta
+            x = x + math.sqrt(var) * odebc.rng.gauss(seed, i, x.shape)
+    return x
 
 
 def identity_plan(s: DiscreteSchedule) -> TimestepPlan:

@@ -87,9 +87,15 @@ MUTANTS = [
            "_squares(rest_q)", "q keeps the part of the state along w"),
     Mutant("src/odebc/sampler.py", "lam[:-1] + 0.5 * h", "lam[:-1] + 0.4 * h",
            "dpm2's midpoint is not halfway in log-SNR"),
-    Mutant("src/odebc/sampler.py", "        if kp == 0:\n            x = mean",
-           "        if kp < 0:\n            x = mean",
+    Mutant("src/odebc/sampler.py", "        noise[-1] = 0.0\n", "",
            "DDPM adds noise on its last step"),
+    Mutant("src/odebc/sampler.py", "        gain = ratio * beta / sigma[:-1]\n",
+           "", "DDPM keeps DDIM's gain"),
+    Mutant("src/odebc/sampler.py", "ratio * s - s_end", "s_end - ratio * s",
+           "the first-order step's gain has the wrong sign"),
+    Mutant("src/odebc/sampler.py", "u = half_ratio[i] * x - half_gain[i] *",
+           "u = ratio[i] * x - gain[i] *",
+           "dpm2's midpoint stage takes the full step's coefficients"),
     Mutant("src/odebc/metrics.py", "stats[1:] >= stats[0]",
            "stats[1:] > stats[0]",
            "a permutation that ties the observed energy statistic is not "

@@ -101,9 +101,13 @@ def test_build_solver_kinds():
                        ("ddim", SolverKind.DDIM),
                        ("dpm2", SolverKind.DPM_SOLVER_2)):
         solver = build_solver({"kind": name, "steps": 10})
-        assert solver.kind is kind and solver.plan.n_points == 10
+        assert solver.kind is kind and solver.label() == f"{name}-10"
+        np.testing.assert_array_equal(
+            solver.plan.times, np.array([999, 888, 777, 666, 555, 444, 333, 222,
+                                         111, 0]) / 999)
     euler = build_solver({"kind": "euler", "steps": 2000})
-    assert euler.plan.steps is None
+    assert euler.label() == "euler-2000"
+    np.testing.assert_array_equal(euler.plan.times, np.linspace(1.0, 0.0, 2001))
     with pytest.raises(ValidationError):
         build_solver({"kind": "heun", "steps": 10})
 

@@ -6,7 +6,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import count_draws, dense_covariance, flat_world, linear_denoiser
+from helpers import (
+    count_draws,
+    ddim_alpha_bar_oracle,
+    ddpm_alpha_bar_oracle,
+    dense_covariance,
+    flat_world,
+    image_world,
+    linear_denoiser,
+)
+from odebc import cli
 from odebc import rng
 from odebc.errors import PlanMismatchError, ShapeMismatchError, ValidationError
 from odebc.metrics import energy_distance_test
@@ -47,8 +56,11 @@ def test_config_validation():
         cfg_for(SolverKind.EULER_REF, resample_timesteps(SCHED, 1000))
     with pytest.raises(PlanMismatchError):
         cfg_for(SolverKind.EULER_REF, uniform_continuous_plan(999))
-    with pytest.raises(PlanMismatchError):
-        cfg_for(SolverKind.DDIM, uniform_continuous_plan(1000))
+    # DDIM and DDPM read only the plan's times, so a continuous plan is a
+    # plan like any other
+    for kind in (SolverKind.DDIM, SolverKind.DDPM_ANCESTRAL):
+        assert cfg_for(kind, uniform_continuous_plan(1000)).label() \
+            == f"{kind.value}-1001"
     # Euler needs one gap throughout: not a squared grid, and not a grid
     # whose first gap alone is twice the others
     for times in (np.linspace(1.0, 0.0, 1001) ** 2,
@@ -68,12 +80,43 @@ def test_ddim_telescoping_zero_model():
 
 
 def test_dpm2_matches_ddim_on_zero_model():
+    # Under eps = 0 each dpm2 transition is its full first-order step,
+    # whose ratio is DDIM's, so the two agree bit for bit.
     zd = zero_denoiser()
     x = generator(9, 0).standard_normal(4)
-    plan = resample_timesteps(SCHED, 25)
-    a = run_solver(zd, cfg_for(SolverKind.DDIM, plan), x, BLANK)
-    b = run_solver(zd, cfg_for(SolverKind.DPM_SOLVER_2, plan), x, BLANK)
-    np.testing.assert_allclose(b, a, rtol=1e-10)
+    for plan in (resample_timesteps(SCHED, 25), uniform_continuous_plan(7)):
+        a = run_solver(zd, cfg_for(SolverKind.DDIM, plan), x, BLANK)
+        b = run_solver(zd, cfg_for(SolverKind.DPM_SOLVER_2, plan), x, BLANK)
+        np.testing.assert_array_equal(b, a)
+
+
+ORACLE_WORLDS = {
+    "flat": flat_world(dim=3, n_comp=2, tau=0.3, seed=2),
+    "block-2": image_world(height=2, width=2, block=2, n_comp=2, tau=0.2,
+                           seed=5),
+}
+
+
+@pytest.mark.parametrize("n_points", [2, 50, 1000])
+@pytest.mark.parametrize("name", sorted(ORACLE_WORLDS))
+def test_first_order_step_matches_alpha_bar_recursions(name, n_points):
+    # DDIM as first-order DPM-Solver on (alpha, sigma), and DDPM as its
+    # step with the posterior variance, against both written on alpha_bar
+    # and step indices. Errors are relative to the largest entry: the one
+    # step of a 2-point plan scales x by about 158 and cancels most of it,
+    # and DDPM's beta = 1 - 1/ratio^2 cancels to about 1e-12 relative on
+    # a 1000-point plan (largest seen 2.1e-14 DDIM, 3.4e-13 DDPM).
+    world = ORACLE_WORLDS[name]
+    den = AnalyticDenoiser(world, SCHED)
+    x = generator(20, n_points).standard_normal((3, world.dim))
+    plan = resample_timesteps(SCHED, n_points)
+    for kind, want, tol in [
+            (SolverKind.DDIM,
+             ddim_alpha_bar_oracle(den, SCHED, plan, x, BLANK), 1e-13),
+            (SolverKind.DDPM_ANCESTRAL,
+             ddpm_alpha_bar_oracle(den, SCHED, plan, x, BLANK, seed=3), 1e-12)]:
+        got = run_solver(den, cfg_for(kind, plan, seed=3), x, BLANK)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 def test_euler_zero_model_alpha_ratio():
@@ -145,21 +188,12 @@ def test_ddpm_noise_stream_is_positional():
     plan = resample_timesteps(SCHED, 3)  # steps [999, 500, 0]
     cfg = cfg_for(SolverKind.DDPM_ANCESTRAL, plan, seed=77)
     out = run_solver(den, cfg, x, BLANK)
-    # Replay by hand: one draw at transition 0, none on the final step.
-    abar = SCHED.alpha_bars
-    state = x
-    for i, (k, kp) in enumerate([(999, 500), (500, 0)]):
-        eps = den.eps(state, BLANK, k / 999)
-        x0_hat = (state - math.sqrt(1 - abar[k]) * eps) / math.sqrt(abar[k])
-        beta = 1 - abar[k] / abar[kp]
-        mean = (math.sqrt(abar[kp]) * beta / (1 - abar[k]) * x0_hat
-                + math.sqrt(abar[k] / abar[kp]) * (1 - abar[kp]) / (1 - abar[k]) * state)
-        if kp == 0:
-            state = mean
-        else:
-            var = (1 - abar[kp]) / (1 - abar[k]) * beta
-            state = mean + math.sqrt(var) * rng.gauss(77, i, state.shape)
-    np.testing.assert_array_equal(out, state)
+    # Replay by hand, in alpha_bar posterior-mean form: one draw at
+    # transition 0, none on the final step. The two forms round apart by
+    # about 5e-16; a wrong draw key would be off by O(1).
+    np.testing.assert_allclose(
+        out, ddpm_alpha_bar_oracle(den, SCHED, plan, x, BLANK, seed=77),
+        rtol=1e-13)
 
 
 def test_ddpm_repeatable_and_seed_sensitive():
@@ -199,6 +233,38 @@ def test_ddpm_full_plan_matches_prior_moments():
     mc_sigma = np.sqrt(np.diag(cov) / n)
     assert np.all(np.abs(out.mean(axis=0) - mean) < 6 * mc_sigma)
     assert np.max(np.abs(np.cov(out.T) - cov)) < 0.08
+
+
+def prior_moment_z_scores(world, samples):
+    """z-scores of each coordinate's sample mean and variance against the
+    flat prior's closed-form mixture moments; the variance's standard
+    error comes from the closed-form fourth central moment."""
+    w, var_j = world.weights, world.stds[:, None] ** 2
+    mean = w @ world.means
+    dev = world.means - mean
+    var = w @ (dev**2 + var_j)
+    mu4 = w @ (dev**4 + 6.0 * dev**2 * var_j + 3.0 * var_j**2)
+    n = samples.shape[0]
+    z_mean = (samples.mean(axis=0) - mean) / np.sqrt(var / n)
+    z_var = (samples.var(axis=0, ddof=1) - var) / np.sqrt((mu4 - var**2) / n)
+    return np.concatenate([z_mean, z_var])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+def test_ddpm_moments_see_a_wrong_denoiser(scale):
+    # verify's energy test passes DDPM with eps 10 % off (p 0.358); the
+    # moments of 6000 rows of its d=2 prior do not (max |z| 0.88 at the
+    # true eps, 7.44 at x1.1).
+    class Scaled(AnalyticDenoiser):
+        def eps(self, x_t, condition, t):
+            return scale * super().eps(x_t, condition, t)
+
+    world = cli._verify_world_d2()
+    cfg = cfg_for(SolverKind.DDPM_ANCESTRAL, resample_timesteps(SCHED, 1000))
+    out = run_solver(Scaled(world, SCHED), cfg, rng.gauss(9, 0, (6000, 2)),
+                     BLANK)
+    worst = np.max(np.abs(prior_moment_z_scores(world, out)))
+    assert (worst < 4.0) == (scale == 1.0), worst
 
 
 def test_euler_batch_matches_prior_moments():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import identity_plan, time_of_lambda_oracle
-from odebc.errors import PlanMismatchError, ValidationError
+from odebc.errors import ValidationError
 from odebc.schedule import (
     DiscreteSchedule,
     make_linear_vp_schedule,
@@ -163,7 +163,7 @@ def test_vp_identity_property(total, b1, width, t):
 def test_uniform_resample_identity():
     s = default_schedule()
     plan = identity_plan(s)
-    np.testing.assert_array_equal(plan.steps, np.arange(999, -1, -1))
+    np.testing.assert_array_equal(plan.times, np.arange(999, -1, -1) / 999)
     assert plan.times[0] == 1.0 and plan.times[-1] == 0.0
 
 
@@ -172,8 +172,11 @@ def test_uniform_resample_counts_and_bounds():
     for n in [2, 10, 50, 100, 250]:
         plan = resample_timesteps(s, n)
         assert plan.n_points == n
-        assert plan.steps[0] == 999 and plan.steps[-1] == 0
-        assert np.all(np.diff(plan.steps) < 0)
+        assert plan.times[0] == 1.0 and plan.times[-1] == 0.0
+        assert np.all(np.diff(plan.times) < 0)
+        # every time sits on a step index, k / (T-1)
+        np.testing.assert_array_equal(
+            plan.times, np.rint(plan.times * 999) / 999)
 
 
 def test_resample_rejects_bad_specs():
@@ -190,10 +193,7 @@ def test_resample_rejects_bad_specs():
 
 def test_continuous_plan_shape():
     plan = uniform_continuous_plan(4)
-    np.testing.assert_allclose(plan.times, [1.0, 0.75, 0.5, 0.25, 0.0])
-    assert plan.steps is None
-    with pytest.raises(PlanMismatchError):
-        plan.require_steps()
+    np.testing.assert_array_equal(plan.times, [1.0, 0.75, 0.5, 0.25, 0.0])
     assert uniform_continuous_plan(1).times.tolist() == [1.0, 0.0]
     with pytest.raises(ValidationError):
         uniform_continuous_plan(0)
